@@ -6,7 +6,6 @@ Forget Error; check every finite-sample bound numerically; and drive the
 same inference rule through a tiny tabular language model.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .dist import GaussianComponent, Mixture, QuadratureError, UniformComponent, quadrature
 from .classifier import (
     LabeledDataset,
@@ -26,7 +25,6 @@ from .metrics import ErrorEstimate, closed_form_errors, forget_error, retain_err
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "GaussianComponent",
     "UniformComponent",
     "Mixture",

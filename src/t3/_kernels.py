@@ -1,57 +1,35 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""The shared numeric formulas, written once.
 
-Everything downstream (density evaluation, classifier prediction, the Monte
-Carlo error metrics) funnels its inner loops through the four functions
-exported here.  When numba imports cleanly the loop variants are compiled
-with ``@njit(cache=True)``; set ``T3_NUMBA=0`` to force the numpy
-implementations.  ``benchmarks/bench_kernels.py`` times the two paths.
-
-Both paths implement the same IEEE-arithmetic formulas; they may differ by
-a few ulp because numpy's SIMD transcendentals and libm round differently.
-Every consumer tolerance in the package is far above that noise floor.
+Every layer above funnels through these: the Gaussian log-densities behind
+each component and mixture, the overflow-safe sigmoid, softplus and log
+sigmoid behind the classifiers and the tinylm head, and the Monte Carlo
+(mean, standard error) pair that every estimate reports.  This module
+imports nothing from the package, so any module may use it without a cycle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "gauss_logpdf",
-    "mix2_gauss_logpdf",
-    "quad_sigmoid",
-    "quad_logsigmoid",
-]
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("T3_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (always present; the reference semantics)
-# ---------------------------------------------------------------------------
-
-def gauss_logpdf_numpy(z, mu, v):
+def gauss_logpdf(z, mu, v):
     """ln N(mu, v)(z), elementwise."""
     return -0.5 * (LOG_2PI + np.log(v)) - np.square(z - mu) / (2.0 * v)
 
 
-def mix2_gauss_logpdf_numpy(z, log_wr, mu_r, v_r, log_wf, mu_f, v_f):
+def mix2_gauss_logpdf(z, log_wr, mu_r, v_r, log_wf, mu_f, v_f):
     """ln of a two-Gaussian mixture with log-weights log_wr, log_wf."""
-    a = log_wr + gauss_logpdf_numpy(z, mu_r, v_r)
-    b = log_wf + gauss_logpdf_numpy(z, mu_f, v_f)
+    a = log_wr + gauss_logpdf(z, mu_r, v_r)
+    b = log_wf + gauss_logpdf(z, mu_f, v_f)
     return np.logaddexp(a, b)
 
 
-def quad_sigmoid_numpy(z, w0, w1, w2):
-    """sigmoid(w0 + w1*z + w2*z^2), overflow-safe on both tails."""
-    t = w0 + z * (w1 + z * w2)
+def sigmoid(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-t), overflow-safe on both tails."""
     out = np.empty_like(t)
     pos = t >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -60,96 +38,19 @@ def quad_sigmoid_numpy(z, w0, w1, w2):
     return out
 
 
-def quad_logsigmoid_numpy(z, w0, w1, w2):
-    """ln sigmoid(w0 + w1*z + w2*z^2) without overflow."""
-    t = w0 + z * (w1 + z * w2)
-    softplus = np.log1p(np.exp(-np.abs(t)))
-    return np.where(t >= 0.0, -softplus, t - softplus)
+def softplus(t: np.ndarray) -> np.ndarray:
+    """ln(1 + e^t) without overflow."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-# ---------------------------------------------------------------------------
-# loop implementations, compiled by numba when enabled
-# ---------------------------------------------------------------------------
-
-def _gauss_logpdf_loop(z, mu, v):
-    n = z.shape[0]
-    out = np.empty(n)
-    c = -0.5 * (LOG_2PI + math.log(v))
-    inv2v = 0.5 / v
-    for i in range(n):
-        d = z[i] - mu
-        out[i] = c - d * d * inv2v
-    return out
+def log_sigmoid(t: np.ndarray) -> np.ndarray:
+    """ln sigmoid(t) = -softplus(-t)."""
+    return -softplus(-t)
 
 
-def _mix2_gauss_logpdf_loop(z, log_wr, mu_r, v_r, log_wf, mu_f, v_f):
-    n = z.shape[0]
-    out = np.empty(n)
-    c_r = log_wr - 0.5 * (LOG_2PI + math.log(v_r))
-    c_f = log_wf - 0.5 * (LOG_2PI + math.log(v_f))
-    inv2vr = 0.5 / v_r
-    inv2vf = 0.5 / v_f
-    for i in range(n):
-        dr = z[i] - mu_r
-        df = z[i] - mu_f
-        a = c_r - dr * dr * inv2vr
-        b = c_f - df * df * inv2vf
-        if a < b:
-            a, b = b, a
-        # a >= b; guard the -inf/-inf corner
-        if a == -math.inf:
-            out[i] = -math.inf
-        else:
-            out[i] = a + math.log1p(math.exp(b - a))
-    return out
-
-
-def _quad_sigmoid_loop(z, w0, w1, w2):
-    n = z.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        t = w0 + z[i] * (w1 + z[i] * w2)
-        if t >= 0.0:
-            out[i] = 1.0 / (1.0 + math.exp(-t))
-        else:
-            et = math.exp(t)
-            out[i] = et / (1.0 + et)
-    return out
-
-
-def _quad_logsigmoid_loop(z, w0, w1, w2):
-    n = z.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        t = w0 + z[i] * (w1 + z[i] * w2)
-        sp = math.log1p(math.exp(-abs(t)))
-        out[i] = -sp if t >= 0.0 else t - sp
-    return out
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        gauss_logpdf_nb = njit(cache=True)(_gauss_logpdf_loop)
-        mix2_gauss_logpdf_nb = njit(cache=True)(_mix2_gauss_logpdf_loop)
-        quad_sigmoid_nb = njit(cache=True)(_quad_sigmoid_loop)
-        quad_logsigmoid_nb = njit(cache=True)(_quad_logsigmoid_loop)
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    gauss_logpdf = gauss_logpdf_nb
-    mix2_gauss_logpdf = mix2_gauss_logpdf_nb
-    quad_sigmoid = quad_sigmoid_nb
-    quad_logsigmoid = quad_logsigmoid_nb
-else:
-    gauss_logpdf = gauss_logpdf_numpy
-    mix2_gauss_logpdf = mix2_gauss_logpdf_numpy
-    quad_sigmoid = quad_sigmoid_numpy
-    quad_logsigmoid = quad_logsigmoid_numpy
+def mean_se(terms: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of iid ``terms`` and its standard error (ddof = 1)."""
+    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(terms.size))
 
 
 def as_array(z) -> np.ndarray:

@@ -14,15 +14,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import as_array
+from ._kernels import as_array, log_sigmoid, mean_se, sigmoid, softplus
 from .dist import Mixture, UniformComponent
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
 
 
 class TrainingError(RuntimeError):
-    """Optimizer hit its iteration cap while the gradient was still large."""
+    """Optimizer stopped while the gradient was still large or not finite."""
 
 
 def quadratic_features(z) -> np.ndarray:
@@ -51,6 +50,8 @@ class LabeledDataset:
             raise ValueError("z and s must be equal-length 1-d arrays, n >= 1")
         if not np.isin(s, (0, 1)).all():
             raise ValueError("labels must be 0/1")
+        if not np.isfinite(z).all():
+            raise ValueError("z must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "s", s.astype(np.int64))
         object.__setattr__(self, "observed_mu", float(np.mean(self.s == 0)))
@@ -78,15 +79,16 @@ class QuadClassifier:
             raise ValueError("weights must be a 3-vector over [1, z, z^2]")
         object.__setattr__(self, "weights", w)
 
-    def predict(self, z) -> np.ndarray:
+    def _logit(self, z) -> np.ndarray:
         z = as_array(z)
         w0, w1, w2 = self.weights
-        return _kernels.quad_sigmoid(z, float(w0), float(w1), float(w2))
+        return w0 + z * (w1 + z * w2)
+
+    def predict(self, z) -> np.ndarray:
+        return sigmoid(self._logit(z))
 
     def log_predict(self, z) -> np.ndarray:
-        z = as_array(z)
-        w0, w1, w2 = self.weights
-        return _kernels.quad_logsigmoid(z, float(w0), float(w1), float(w2))
+        return log_sigmoid(self._logit(z))
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,8 @@ class OptimizerConfig:
 def _objective(w, X, s, lam):
     """Smooth regularized cross-entropy: mean softplus(t) - s*t + lam*|w|^2."""
     t = X @ w
-    softplus = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    value = float(np.mean(softplus - s * t) + lam * (w @ w))
-    sig = np.empty_like(t)
-    pos = t >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    sig[~pos] = et / (1.0 + et)
+    value = float(np.mean(softplus(t) - s * t) + lam * (w @ w))
+    sig = sigmoid(t)
     grad = X.T @ (sig - s) / t.size + 2.0 * lam * w
     return value, grad, sig
 
@@ -205,7 +202,7 @@ def _train(data: LabeledDataset, lam: float, opt: OptimizerConfig):
         history.append(value)
 
     gnorm = float(np.linalg.norm(grad))
-    if gnorm > opt.fail_grad:
+    if not gnorm <= opt.fail_grad:  # a NaN gradient fails too
         raise TrainingError(
             f"gradient norm {gnorm:.3e} > {opt.fail_grad:.0e} after optimizer stop"
         )
@@ -224,7 +221,7 @@ def train(
     is convex (strongly convex for lam > 0) so the run is deterministic and
     the rng argument is unused.  Stops at gradient norm <= grad_tol or the
     iteration cap; raises :class:`TrainingError` if the gradient is still
-    above ``fail_grad`` there.
+    above ``fail_grad`` there, or is not finite (z^2 overflowed).
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
@@ -232,12 +229,18 @@ def train(
     return clf
 
 
+def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
+    """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)), with the
+    prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP]."""
+    p = np.clip(clf.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
+    s = np.asarray(s, dtype=np.float64)
+    return -s * np.log(p) - (1.0 - s) * np.log1p(-p)
+
+
 def loss(clf: Classifier, data: LabeledDataset, regularized: bool = False) -> float:
-    """Mean cross-entropy of clf on data, predictions clamped to
-    [1e-12, 1 - 1e-12]; adds lam*|w|^2 when ``regularized`` is set."""
-    p = np.clip(clf.predict(data.z), PRED_CLAMP, 1.0 - PRED_CLAMP)
-    s = data.s.astype(np.float64)
-    value = float(np.mean(-s * np.log(p) - (1.0 - s) * np.log1p(-p)))
+    """Mean cross-entropy of clf on data (see :func:`cross_entropy_terms`);
+    adds lam*|w|^2 when ``regularized`` is set."""
+    value = float(np.mean(cross_entropy_terms(clf, data.z, data.s)))
     if regularized:
         if not isinstance(clf, QuadClassifier):
             raise TypeError("regularized loss needs a weight vector")
@@ -310,13 +313,7 @@ def estimate_excess_risk(
     delta_hat should not fall below -3 std_err up to MC noise.
     """
     z, s = m.sample_labeled(rng, n_mc)
-    s = s.astype(np.float64)
-    p_hat = np.clip(clf.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
-    p_star = np.clip(bayes.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
-    terms = (-s * np.log(p_hat) - (1.0 - s) * np.log1p(-p_hat)) - (
-        -s * np.log(p_star) - (1.0 - s) * np.log1p(-p_star)
-    )
-    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(n_mc))
+    return mean_se(cross_entropy_terms(clf, z, s) - cross_entropy_terms(bayes, z, s))
 
 
 def imbalance_corrected_tilt(clf_mu: Classifier, mu: float, gamma: float, z) -> np.ndarray:

@@ -33,8 +33,10 @@ class GaussianComponent:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -78,8 +80,8 @@ class UniformComponent:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
 
     def density(self, z):
         z = as_array(z)
@@ -166,30 +168,6 @@ class Mixture:
         z_f = self.forget.sample(rng, n)
         z = np.where(s == 1, z_r, z_f)
         return z, s
-
-
-# ---------------------------------------------------------------------------
-# module-level operation surface
-# ---------------------------------------------------------------------------
-
-def log_density(c: Component, z):
-    return c.log_density(z)
-
-
-def sample(obj: Union[Component, Mixture], rng: np.random.Generator, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return obj.sample(rng, n)
-
-
-def entropy(c: Component) -> float:
-    return c.entropy()
-
-
-def temper_gaussian(c: GaussianComponent, T: float) -> tuple[GaussianComponent, float]:
-    if not isinstance(c, GaussianComponent):
-        raise TypeError("temper_gaussian expects a GaussianComponent")
-    return c.temper(T)
 
 
 def integration_window(m: Mixture, T: float = 1.0) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import as_array
+from ._kernels import as_array, mean_se
 from .classifier import (
     Classifier,
     PRED_CLAMP,
@@ -55,12 +55,11 @@ class T3Estimator:
         base = np.exp(self.mixture.log_density(z) / self.temperature)
         return base * self.classifier.predict(z) / self.partition
 
-    def log_density(self, z) -> np.ndarray:
-        """Log form with the classifier clamped at 1e-12, so the result is
-        finite wherever p > 0 (what the retain-error metric needs)."""
-        z = as_array(z)
-        logf = np.maximum(self.classifier.log_predict(z), LOG_CLAMP)
-        return self.mixture.log_density(z) / self.temperature + logf - math.log(self.partition)
+
+def clamped_log_tilt(clf: Classifier, z) -> np.ndarray:
+    """ln f(z) floored at LOG_CLAMP = ln PRED_CLAMP, so that ln p_hat is
+    finite wherever p > 0 (what the retain-error metric needs)."""
+    return np.maximum(clf.log_predict(z), LOG_CLAMP)
 
 
 def _partition_quadrature(m: Mixture, clf: Classifier, T: float, tol: float) -> float:
@@ -99,7 +98,7 @@ def _partition_importance(
         raise ImportanceSamplingError(
             f"effective sample size {ess:.1f} < 1% of n_mc={n_mc}"
         )
-    return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(n_mc))
+    return mean_se(w)
 
 
 def build(

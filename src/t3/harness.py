@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -19,16 +18,18 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
+from ._kernels import mean_se
 from .classifier import (
     LabeledDataset,
     bayes_classifier,
+    cross_entropy_terms,
     estimate_excess_risk,
     train,
     witness_classifier,
 )
 from .dist import GaussianComponent, Mixture, UniformComponent
-from .estimator import build
-from .metrics import forget_error, retain_error
+from .estimator import build, clamped_log_tilt
+from .metrics import forget_error, forget_terms, retain_error, retain_terms
 
 SEED_ENV = "T3_SEED"
 
@@ -77,8 +78,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(t < 1.0 for t in self.t_grid):
+        if not all(1.0 <= t < math.inf for t in self.t_grid):
             raise ValueError("temperature grid must lie in [1, inf)")
+        if self.n < 1 or any(n < 1 for n in self.n_grid):
+            raise ValueError("sample sizes n and n_grid must be >= 1")
+        if self.n_mc < 2 or self.n_mc_risk < 2:
+            raise ValueError("n_mc and n_mc_risk must be >= 2 for a standard error")
+        if self.lambda_search_trials < 1:
+            raise ValueError("lambda_search_trials must be >= 1")
 
     def mixture(self, v_f: float) -> Mixture:
         return Mixture(
@@ -141,7 +148,6 @@ class TrialRecord:
     retain_se: float
     forget_err: float
     forget_se: float
-    wall_time: float = 0.0
 
     def csv_row(self) -> str:
         return ",".join(
@@ -189,9 +195,9 @@ class SweepTable:
             raise KeyError(f"no records at {self.sweep_key}={group_value}, T={T}")
         ret = np.array([r.retain_err for r in rs])
         fog = np.array([r.forget_err for r in rs])
-        n = len(rs)
-        sem = lambda x: float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return float(ret.mean()), sem(ret), float(fog.mean()), sem(fog)
+        if len(rs) == 1:  # one trial: no spread to report
+            return float(ret[0]), 0.0, float(fog[0]), 0.0
+        return (*mean_se(ret), *mean_se(fog))
 
     def mean_curve(self, group_value, metric: str) -> tuple[list[float], list[float], list[float]]:
         """(T values, means, SEs) for one group; metric is 'retain' or 'forget'."""
@@ -215,10 +221,7 @@ class SweepTable:
 def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> tuple[float, float]:
     """MC estimate of the population cross-entropy of clf under the mixture."""
     z, s = m.sample_labeled(rng, n_mc)
-    p = np.clip(clf.predict(z), 1e-12, 1.0 - 1e-12)
-    sf = s.astype(np.float64)
-    terms = -sf * np.log(p) - (1.0 - sf) * np.log1p(-p)
-    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(n_mc))
+    return mean_se(cross_entropy_terms(clf, z, s))
 
 
 def lambda_search(
@@ -273,7 +276,6 @@ def run_trial(
     plus ln Z(beta), a log-Laplace transform, so each trial's retain curve
     is strictly convex in 1/T.
     """
-    t_start = time.perf_counter()
     seed = derive_seed(config.base_seed, stream_tag, trial_index)
     rng = np.random.default_rng(seed)
     m = config.mixture(v_f)
@@ -282,23 +284,17 @@ def run_trial(
     bayes = bayes_classifier(m)
     delta_hat, delta_se = estimate_excess_risk(clf, m, bayes, config.n_mc_risk, rng)
 
-    n_mc = config.n_mc
-    sqrt_n = math.sqrt(n_mc)
-    z_r = m.retain.sample(rng, n_mc)
-    z_f = m.forget.sample(rng, n_mc)
-    logpr_r = m.retain.log_density(z_r)
-    logp_r = m.log_density(z_r)
-    logf_r = np.maximum(clf.log_predict(z_r), math.log(1e-12))
-    pr_f = np.exp(m.retain.log_density(z_f))
-    logp_f = m.log_density(z_f)
-    f_f = clf.predict(z_f)
+    # the per-draw inputs of the metric terms depend on the draws, not on T
+    z_r = m.retain.sample(rng, config.n_mc)
+    z_f = m.forget.sample(rng, config.n_mc)
+    retain_draws = (m.retain.log_density(z_r), m.log_density(z_r), clamped_log_tilt(clf, z_r))
+    forget_draws = (np.exp(m.retain.log_density(z_f)), m.log_density(z_f), clf.predict(z_f))
 
     records = []
     for T in config.t_grid:
         est = build(m, clf, T, method="quadrature", tol=config.partition_tol)
-        log_z = math.log(est.partition)
-        ret_terms = logpr_r - (logp_r / T + logf_r - log_z)
-        fog_terms = np.abs(pr_f - np.exp(logp_f / T) * f_f / est.partition)
+        retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, est.partition))
+        forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, est.partition))
         records.append(
             TrialRecord(
                 seed=seed,
@@ -308,11 +304,10 @@ def run_trial(
                 lam=lam,
                 delta_hat=delta_hat,
                 delta_se=delta_se,
-                retain_err=float(np.mean(ret_terms)),
-                retain_se=float(np.std(ret_terms, ddof=1) / sqrt_n),
-                forget_err=float(np.mean(fog_terms)),
-                forget_se=float(np.std(fog_terms, ddof=1) / sqrt_n),
-                wall_time=time.perf_counter() - t_start,
+                retain_err=retain_err,
+                retain_se=retain_se,
+                forget_err=forget_err,
+                forget_se=forget_se,
             )
         )
     return records
@@ -331,31 +326,29 @@ def _run_trials(tasks: list[tuple], workers: int) -> list[TrialRecord]:
     return [rec for batch in batches for rec in batch]
 
 
+def _sweep(
+    config: ExperimentConfig, sweep_key: str, groups: list, stream_tag0: int, workers: int
+) -> SweepTable:
+    """For each (v_f, n) group, pick lambda by search, then run the seeded
+    trials; group gi draws from stream tag stream_tag0 + gi."""
+    records: list[TrialRecord] = []
+    for gi, (v_f, n) in enumerate(groups):
+        tag = stream_tag0 + gi
+        lam = lambda_search(config, v_f, n, stream_tag=tag)
+        tasks = [(config, v_f, n, lam, tag, trial) for trial in range(config.trials)]
+        records.extend(_run_trials(tasks, workers))
+    return SweepTable(sweep_key=sweep_key, records=tuple(records))
+
+
 def run_experiment1(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Forget-sharpness sweep: for each forget variance, pick lambda by
     search, run seeded trials, and measure both errors across the T grid."""
-    records: list[TrialRecord] = []
-    for gi, v_f in enumerate(config.v_f_grid):
-        lam = lambda_search(config, v_f, config.n, stream_tag=10 + gi)
-        tasks = [
-            (config, v_f, config.n, lam, 10 + gi, trial)
-            for trial in range(config.trials)
-        ]
-        records.extend(_run_trials(tasks, workers))
-    return SweepTable(sweep_key="v_f", records=tuple(records))
+    return _sweep(config, "v_f", [(v_f, config.n) for v_f in config.v_f_grid], 10, workers)
 
 
 def run_experiment2(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Sample-size sweep at fixed forget variance."""
-    records: list[TrialRecord] = []
-    for gi, n in enumerate(config.n_grid):
-        lam = lambda_search(config, config.v_f, n, stream_tag=50 + gi)
-        tasks = [
-            (config, config.v_f, n, lam, 50 + gi, trial)
-            for trial in range(config.trials)
-        ]
-        records.extend(_run_trials(tasks, workers))
-    return SweepTable(sweep_key="n", records=tuple(records))
+    return _sweep(config, "n", [(config.v_f, n) for n in config.n_grid], 50, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +377,7 @@ def soundness_reports_for_classifier(
     fog = forget_error(est, m, config.n_mc, rng)
 
     z_l1 = m.sample(rng, config.n_mc)
-    l1_terms = np.abs(bayes.predict(z_l1) - clf.predict(z_l1))
-    l1 = float(np.mean(l1_terms))
-    l1_se = float(np.std(l1_terms, ddof=1) / math.sqrt(config.n_mc))
+    l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
 
     reports = [
         bounds_mod.BoundReport(

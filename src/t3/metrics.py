@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import mean_se
 from .classifier import PiecewiseClassifier
 from .dist import Mixture, UniformComponent
-from .estimator import T3Estimator
+from .estimator import T3Estimator, clamped_log_tilt
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,17 @@ class ErrorEstimate:
             raise ValueError("std_err must be >= 0")
 
 
-def _mc_estimate(terms: np.ndarray) -> ErrorEstimate:
-    n = terms.size
-    return ErrorEstimate(
-        value=float(np.mean(terms)),
-        std_err=float(np.std(terms, ddof=1) / math.sqrt(n)),
-        n_mc=n,
-    )
+def retain_terms(log_pr, log_p, log_f, T: float, partition: float) -> np.ndarray:
+    """Per-draw ln p_r(z) - ln p_hat(z) at draws z ~ p_r, from ln p_r(z),
+    ln p(z) and the clamped ln f(z) (:func:`~t3.estimator.clamped_log_tilt`),
+    for the estimator at temperature T with partition Z."""
+    return log_pr - (log_p / T + log_f - math.log(partition))
+
+
+def forget_terms(p_r, log_p, f, T: float, partition: float) -> np.ndarray:
+    """Per-draw |p_r(z) - p_hat(z)| at draws z ~ p_f, from p_r(z), ln p(z)
+    and f(z), for the estimator at temperature T with partition Z."""
+    return np.abs(p_r - np.exp(log_p / T) * f / partition)
 
 
 def retain_error(
@@ -43,11 +48,14 @@ def retain_error(
 ) -> ErrorEstimate:
     """MC estimate of KL(p_r || p_hat): mean of ln p_r(z) - ln p_hat(z) for
     z ~ p_r.  Works in log densities throughout so sharp peaks cannot
-    overflow; the estimator clamps its classifier at 1e-12, keeping every
-    term finite on the retain support."""
+    overflow; the classifier is clamped at PRED_CLAMP, keeping every term
+    finite on the retain support."""
     z = m.retain.sample(rng, n_mc)
-    terms = m.retain.log_density(z) - e.log_density(z)
-    return _mc_estimate(terms)
+    terms = retain_terms(
+        m.retain.log_density(z), e.mixture.log_density(z), clamped_log_tilt(e.classifier, z),
+        e.temperature, e.partition,
+    )
+    return ErrorEstimate(*mean_se(terms), n_mc)
 
 
 def forget_error(
@@ -55,8 +63,11 @@ def forget_error(
 ) -> ErrorEstimate:
     """MC estimate of E_{p_f} |p_r(z) - p_hat(z)| for z ~ p_f."""
     z = m.forget.sample(rng, n_mc)
-    terms = np.abs(np.exp(m.retain.log_density(z)) - e.density(z))
-    return _mc_estimate(terms)
+    terms = forget_terms(
+        np.exp(m.retain.log_density(z)), e.mixture.log_density(z), e.classifier.predict(z),
+        e.temperature, e.partition,
+    )
+    return ErrorEstimate(*mean_se(terms), n_mc)
 
 
 def closed_form_errors(m: Mixture, clf: PiecewiseClassifier) -> tuple[float, float]:

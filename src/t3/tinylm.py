@@ -23,6 +23,8 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._kernels import sigmoid, softplus
+
 BOS = -1  # context padding sentinel, never a real token id
 SPLITS = ("retain", "forget", "ra", "wf")
 MC_PROB_EPS = 1e-10  # stabilizer in the multiple-choice probability metric
@@ -236,19 +238,10 @@ class HeadClassifier:
     def scores(self, context: Sequence[str]) -> np.ndarray:
         """g(x): per-token retain probabilities in (0, 1)^|V|."""
         logits = self.b @ (self.a @ self.feature(context))
-        return _sigmoid(logits)
+        return sigmoid(logits)
 
     def frob_norms(self) -> tuple[float, float]:
         return float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
 
 
 def head_training_stream(corpus: TinyCorpus, order: int) -> list[tuple[Tokens, str, int]]:
@@ -289,11 +282,10 @@ def train_head(
     def objective(a_m, b_m):
         logits_full = feats @ a_m.T @ b_m.T  # (n, |V|)
         t = logits_full[rows, y_idx]
-        softplus = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-        value = float(np.mean(softplus - s * t)) + lam * (
+        value = float(np.mean(softplus(t) - s * t)) + lam * (
             float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m))
         )
-        sig = _sigmoid(t)
+        sig = sigmoid(t)
         g_logit = np.zeros((n, v))
         g_logit[rows, y_idx] = (sig - s) / n
         p = feats @ a_m.T  # (n, h)

@@ -27,6 +27,7 @@ import pytest
 
 from t3 import bounds as B
 from t3 import tinylm as tl
+from t3._kernels import mean_se
 from t3.classifier import (
     LabeledDataset,
     bayes_classifier,
@@ -56,10 +57,6 @@ FP_GUARD = 1e-9  # witness-instance MC terms are constant; allow fp dust
 
 def _report(name: str, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {detail}")
-
-
-def _sem(x) -> float:
-    return float(np.std(x, ddof=1) / math.sqrt(len(x)))
 
 
 def _trial_curves(table, group_value, metric: str) -> tuple[list[float], np.ndarray]:
@@ -243,7 +240,7 @@ class TestC5SharpnessSweep:
             step = curves[:, 1] - curves[:, 0]
             details.append(
                 f"v_f={v_f}: argmin_T={ts[i]}, R({ts[1]})-R({ts[0]}) = {step.mean():+.5f} "
-                f"± {_sem(step):.5f} paired ({np.mean(step < 0.0):.0%} dip), "
+                f"± {mean_se(step)[1]:.5f} paired ({np.mean(step < 0.0):.0%} dip), "
                 f"min slope increase {bends.min():.3f}"
             )
         _report("C5c", "per-trial retain curves strictly convex in 1/T; " + "; ".join(details))
@@ -279,7 +276,7 @@ class TestC6SampleSizeSweep:
         later = np.mean(np.array(ts)[np.argmin(curves, axis=1)] > 1.0)
         detail = (
             f"argmin_T = {am} at n=400; F({am}) - F(1.0) = {diff.mean():+.5f} "
-            f"± {_sem(diff):.5f} paired; {later:.0%} of trials have argmin_T > 1.0"
+            f"± {mean_se(diff)[1]:.5f} paired; {later:.0%} of trials have argmin_T > 1.0"
         )
         _report("C6c", detail)
         assert am == 1.0, detail
@@ -335,7 +332,7 @@ def sweep():
             data = LabeledDataset.from_mixture(m, n, rng)
             clf = train(data, lam_star)
             deltas.append(estimate_excess_risk(clf, m, bayes, 5 * 10**4, rng)[0])
-        out[n] = (float(np.mean(deltas)), _sem(deltas), bound)
+        out[n] = (*mean_se(np.array(deltas)), bound)
     return out
 
 

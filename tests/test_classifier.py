@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from t3._kernels import mean_se
 from t3.classifier import (
     LabeledDataset,
     OptimizerConfig,
     PiecewiseClassifier,
     QuadClassifier,
+    TrainingError,
     _train,
     bayes_classifier,
     estimate_excess_risk,
@@ -38,6 +40,10 @@ class TestLabeledDataset:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LabeledDataset(z=np.arange(3.0), s=np.array([0, 1, 2]), source_gamma=0.1)
+
+    def test_rejects_nonfinite_z(self):
+        with pytest.raises(ValueError, match="finite"):
+            LabeledDataset(z=np.array([0.0, np.nan, 1.0]), s=np.array([0, 1, 1]), source_gamma=0.1)
 
 
 class TestTrain:
@@ -69,6 +75,13 @@ class TestTrain:
         _, history = _train(d, 1e-3, OptimizerConfig())
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-14)
+
+    def test_overflowing_features_fail_loudly(self):
+        # z^2 overflows to inf, so the gradient is NaN; training must raise
+        # instead of returning the zero start
+        d = LabeledDataset(z=np.array([1e200, 0.0, 1.0]), s=np.array([1, 0, 1]), source_gamma=0.1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError):
+            train(d, 1e-3)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
@@ -219,9 +232,7 @@ class TestLemma1Property:
             clf = train(d, 1e-3)
             d_hat, d_se = estimate_excess_risk(clf, DEFAULT, bayes, 10**5, rng)
             z = DEFAULT.sample(rng, 10**5)
-            terms = np.abs(bayes.predict(z) - clf.predict(z))
-            l1 = float(np.mean(terms))
-            l1_se = float(np.std(terms, ddof=1) / math.sqrt(terms.size))
+            l1, l1_se = mean_se(np.abs(bayes.predict(z) - clf.predict(z)))
             bound = math.sqrt(max(d_hat + 3 * d_se, 0.0) / 2.0)
             assert l1 <= bound + 3 * l1_se
 

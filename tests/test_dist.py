@@ -10,13 +10,9 @@ from t3.dist import (
     Mixture,
     QuadratureError,
     UniformComponent,
-    entropy,
     integration_window,
-    log_density,
     quadrature,
     quadrature_seeds,
-    sample,
-    temper_gaussian,
 )
 
 STD_NORM_LOGPEAK = -0.9189385332046727  # -ln(2 pi)/2, direct formula
@@ -25,14 +21,14 @@ STD_NORM_LOGPEAK = -0.9189385332046727  # -ln(2 pi)/2, direct formula
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
         np.testing.assert_allclose(
-            log_density(GaussianComponent(0.0, 1.0), 0.0), STD_NORM_LOGPEAK, rtol=1e-14
+            GaussianComponent(0.0, 1.0).log_density(0.0), STD_NORM_LOGPEAK, rtol=1e-14
         )
 
     def test_unit_uniform_inside(self):
-        assert log_density(UniformComponent(0.0, 1.0), 0.5)[0] == 0.0
+        assert UniformComponent(0.0, 1.0).log_density(0.5)[0] == 0.0
 
     def test_unit_uniform_outside(self):
-        assert log_density(UniformComponent(0.0, 1.0), 2.0)[0] == -math.inf
+        assert UniformComponent(0.0, 1.0).log_density(2.0)[0] == -math.inf
 
     def test_mixture_is_weighted_sum(self):
         m = Mixture(0.3, GaussianComponent(1.0, 2.0), GaussianComponent(-1.0, 0.5))
@@ -55,13 +51,13 @@ class TestSampling:
         assert abs(float(np.mean(s == 0)) - 0.1) < 3.0 * math.sqrt(0.09 / 1e6)
 
     def test_gaussian_mean_clt(self):
-        z = sample(GaussianComponent(1.0, 1.0), np.random.default_rng(7), 10**6)
+        z = GaussianComponent(1.0, 1.0).sample(np.random.default_rng(7), 10**6)
         assert abs(float(z.mean()) - 1.0) < 3.0 / 1000.0
 
     def test_same_seed_reproduces(self):
         m = Mixture(0.25, GaussianComponent(0.0, 1.0), UniformComponent(3.0, 4.0))
-        a = sample(m, np.random.default_rng(123), 1000)
-        b = sample(m, np.random.default_rng(123), 1000)
+        a = m.sample(np.random.default_rng(123), 1000)
+        b = m.sample(np.random.default_rng(123), 1000)
         np.testing.assert_array_equal(a, b)
 
     def test_moment_match_within_standard_errors(self):
@@ -72,20 +68,16 @@ class TestSampling:
         assert abs(z.mean() - (-0.5)) < 4 * se_mean
         assert abs(z.var(ddof=1) - 2.3) < 4 * se_var
 
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            sample(GaussianComponent(0, 1), np.random.default_rng(0), 0)
-
 
 class TestTempering:
     def test_identity_at_t1(self):
         g = GaussianComponent(0.0, 1.0)
-        tempered, c = temper_gaussian(g, 1.0)
+        tempered, c = g.temper(1.0)
         assert tempered == g
         assert c == 1.0
 
     def test_normalizer_value_t2(self):
-        _, c = temper_gaussian(GaussianComponent(0.0, 1.0), 2.0)
+        _, c = GaussianComponent(0.0, 1.0).temper(2.0)
         # frozen from quadrature of N(0,1)^(1/2) over [-12, 12]
         np.testing.assert_allclose(c, 2.2390302698404954, rtol=1e-12)
 
@@ -93,7 +85,7 @@ class TestTempering:
         rng = np.random.default_rng(3)
         g = GaussianComponent(0.7, 1.8)
         for T in (1.0, 1.5, 2.0, 3.0):
-            tempered, c = temper_gaussian(g, T)
+            tempered, c = g.temper(T)
             z = rng.normal(0.7, 3.0, size=10)
             lhs = np.exp(g.log_density(z) / T)
             rhs = c * np.exp(tempered.log_density(z))
@@ -101,7 +93,7 @@ class TestTempering:
 
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
-            temper_gaussian(GaussianComponent(0, 1), 0.5)
+            GaussianComponent(0, 1).temper(0.5)
 
     def test_quadrature_matches_analytic_normalizer(self):
         for mu, v in ((0.0, 1.0), (1.0, 0.5), (-2.0, 3.0)):
@@ -122,7 +114,7 @@ class TestTempering:
 class TestEntropy:
     def test_unit_gaussian(self):
         np.testing.assert_allclose(
-            entropy(GaussianComponent(3.0, 1.0)), 0.5 * math.log(2 * math.pi * math.e), rtol=1e-14
+            GaussianComponent(3.0, 1.0).entropy(), 0.5 * math.log(2 * math.pi * math.e), rtol=1e-14
         )
 
     def test_cross_check_by_quadrature(self):
@@ -133,14 +125,14 @@ class TestEntropy:
             return -np.exp(lp) * lp
 
         q = quadrature(neg_p_log_p, -12, 12, tol=1e-10)
-        np.testing.assert_allclose(q, entropy(g), rtol=1e-9)
+        np.testing.assert_allclose(q, g.entropy(), rtol=1e-9)
 
     def test_unit_interval_uniform(self):
-        assert entropy(UniformComponent(0.0, 1.0)) == 0.0
+        assert UniformComponent(0.0, 1.0).entropy() == 0.0
 
     def test_zero_crossing_variance(self):
         np.testing.assert_allclose(
-            entropy(GaussianComponent(0.0, 1.0 / (2 * math.pi * math.e))), 0.0, atol=1e-15
+            GaussianComponent(0.0, 1.0 / (2 * math.pi * math.e)).entropy(), 0.0, atol=1e-15
         )
 
 
@@ -205,6 +197,20 @@ class TestMixtureInvariants:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             Mixture(0.0, GaussianComponent(0, 1), GaussianComponent(1, 1))
+
+    @pytest.mark.parametrize(
+        "component, params",
+        [
+            (GaussianComponent, (math.nan, 1.0)),
+            (GaussianComponent, (math.inf, 1.0)),
+            (GaussianComponent, (0.0, math.inf)),
+            (UniformComponent, (-math.inf, 0.0)),
+            (UniformComponent, (0.0, math.inf)),
+        ],
+    )
+    def test_components_reject_nonfinite_parameters(self, component, params):
+        with pytest.raises(ValueError):
+            component(*params)
 
     def test_window_covers_tempered_spread(self):
         m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 4.0))

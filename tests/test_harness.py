@@ -70,11 +70,10 @@ class TestSeeding:
 
     def test_run_trial_matches_metric_functions(self):
         # the trial loop caches draws across the T grid; replaying the same
-        # rng stream through the public metric formulas must agree exactly
-        import math
-
+        # rng stream through the public metric functions must agree exactly
         from t3.classifier import LabeledDataset, bayes_classifier, estimate_excess_risk, train
         from t3.estimator import build
+        from t3.metrics import forget_error, retain_error
 
         cfg = replace(FAST, t_grid=(1.7,))
         [rec] = run_trial(cfg, 1e-3, 40, 1e-3, 10, 2)
@@ -86,15 +85,12 @@ class TestSeeding:
         d_hat, d_se = estimate_excess_risk(clf, m, bayes_classifier(m), cfg.n_mc_risk, rng)
         assert (d_hat, d_se) == (rec.delta_hat, rec.delta_se)
 
-        z_r = m.retain.sample(rng, cfg.n_mc)
-        z_f = m.forget.sample(rng, cfg.n_mc)
+        # run_trial draws its retain sample, then its forget sample
         est = build(m, clf, 1.7, tol=cfg.partition_tol)
-        ret_terms = m.retain.log_density(z_r) - est.log_density(z_r)
-        fog_terms = np.abs(np.exp(m.retain.log_density(z_f)) - est.density(z_f))
-        assert float(np.mean(ret_terms)) == rec.retain_err
-        assert float(np.std(ret_terms, ddof=1) / math.sqrt(cfg.n_mc)) == rec.retain_se
-        assert float(np.mean(fog_terms)) == rec.forget_err
-        assert float(np.std(fog_terms, ddof=1) / math.sqrt(cfg.n_mc)) == rec.forget_se
+        ret = retain_error(est, m, cfg.n_mc, rng)
+        fog = forget_error(est, m, cfg.n_mc, rng)
+        assert (ret.value, ret.std_err) == (rec.retain_err, rec.retain_se)
+        assert (fog.value, fog.std_err) == (rec.forget_err, rec.forget_se)
 
 
 class TestConfig:
@@ -113,6 +109,20 @@ class TestConfig:
         path.write_text("nonsense = 1\n")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    def test_rejects_nonpositive_n(self):
+        for bad in ({"n": 0}, {"n_grid": (25, 0)}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"t_grid": (1.0, float("nan"))}, {"t_grid": (float("inf"),)}, {"n_mc": 1},
+         {"n_mc_risk": 1}, {"lambda_search_trials": 0}],
+    )
+    def test_rejects_out_of_domain_fields(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"

@@ -30,6 +30,12 @@ WITNESS_MIX = Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0
 FP_GUARD = 1e-9
 
 
+def _log_estimate(est, z):
+    """ln p_hat(z) from its definition, the classifier clamped at 1e-12."""
+    logf = np.maximum(est.classifier.log_predict(z), math.log(1e-12))
+    return est.mixture.log_density(z) / est.temperature + logf - math.log(est.partition)
+
+
 def test_error_estimate_rejects_negative_se():
     with pytest.raises(ValueError):
         ErrorEstimate(value=0.0, std_err=-1.0, n_mc=10)
@@ -122,7 +128,7 @@ class TestSwappedComponents:
         # log-odds crosses ln(1e-12), so those roots become breakpoints
         def integrand(z):
             pr = np.exp(m.retain.log_density(z))
-            return pr * (m.retain.log_density(z) - est.log_density(z))
+            return pr * (m.retain.log_density(z) - _log_estimate(est, z))
 
         w0, w1, w2 = anti.weights
         clamp_roots = np.roots([w2, w1, w0 - math.log(1e-12)])
@@ -165,7 +171,7 @@ class TestProperties:
 
             def integrand(z):
                 pr = np.exp(m.retain.log_density(z))
-                return pr * (m.retain.log_density(z) - est.log_density(z))
+                return pr * (m.retain.log_density(z) - _log_estimate(est, z))
 
             lo, hi = integration_window(m, T)
             exact = quadrature(integrand, lo, hi, tol=1e-8, breakpoints=quadrature_seeds(m, T))
