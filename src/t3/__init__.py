@@ -9,7 +9,6 @@ same inference rule through a tiny tabular language model.
 from .dist import GaussianComponent, Mixture, QuadratureError, UniformComponent, quadrature
 from .classifier import (
     LabeledDataset,
-    OptimizerConfig,
     PiecewiseClassifier,
     QuadClassifier,
     TrainingError,
@@ -19,7 +18,7 @@ from .classifier import (
     train,
     witness_classifier,
 )
-from .estimator import ImportanceSamplingError, T3Estimator, build, tempered_oracle
+from .estimator import T3Estimator, build, tempered_oracle
 from .metrics import ErrorEstimate, closed_form_errors, forget_error, retain_error
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureError",
     "quadrature",
     "LabeledDataset",
-    "OptimizerConfig",
     "QuadClassifier",
     "PiecewiseClassifier",
     "TrainingError",
@@ -41,7 +39,6 @@ __all__ = [
     "estimate_excess_risk",
     "imbalance_corrected_tilt",
     "T3Estimator",
-    "ImportanceSamplingError",
     "build",
     "tempered_oracle",
     "ErrorEstimate",

@@ -50,6 +50,8 @@ def log_sigmoid(t: np.ndarray) -> np.ndarray:
 
 def mean_se(terms: np.ndarray) -> tuple[float, float]:
     """Monte Carlo mean of iid ``terms`` and its standard error (ddof = 1)."""
+    if terms.size < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {terms.size}")
     return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(terms.size))
 
 

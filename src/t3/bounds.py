@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -102,8 +102,8 @@ def lemma2_partition_lower_bound(m: Mixture, delta: float, T: float) -> float:
 
         (1-gamma)^((T+1)/T) * exp(((T-1)/T) H(p_r) - (delta - g ln g)/(1-g))
     """
-    if T < 1.0:
-        raise ValueError("T must be >= 1")
+    if not 1.0 <= T < math.inf:
+        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
     g = m.gamma
     h_r = m.retain.entropy()
     return (1.0 - g) ** ((T + 1.0) / T) * math.exp(
@@ -120,8 +120,8 @@ def bias_coefficient_a(m: Mixture, T: float) -> float:
     )
 
 
-def default_tau_grid(T: float, points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
-    return np.linspace(1.0, T, points) if T > 1.0 else np.array([1.0])
+def default_tau_grid(T: float) -> np.ndarray:
+    return np.linspace(1.0, T, DEFAULT_TAU_POINTS) if T > 1.0 else np.array([1.0])
 
 
 def _tempering_bias(m: Mixture, T: float, tau: float, quad_tol: float) -> float:
@@ -176,7 +176,6 @@ def thm4_forget_bound(
     delta: float,
     T: float,
     k: Optional[float] = None,
-    tau_grid: Optional[Sequence[float]] = None,
     quad_tol: float = 1e-10,
 ) -> float:
     """Forget Error bound for the T-tempered estimator:
@@ -188,16 +187,14 @@ def thm4_forget_bound(
 
     with k >= T controlling the integrability tradeoff (default max(T, 2)).
     """
-    if T < 1.0:
-        raise ValueError("T must be >= 1")
+    if not 1.0 <= T < math.inf:
+        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
     if k is None:
         k = max(T, 2.0)
     if k < T:
         raise ValueError(f"need k >= T, got k={k} < T={T}")
-    if tau_grid is None:
-        tau_grid = default_tau_grid(T)
 
-    bias = max(_tempering_bias(m, T, float(tau), quad_tol) for tau in tau_grid)
+    bias = max(_tempering_bias(m, T, float(tau), quad_tol) for tau in default_tau_grid(T))
 
     g = m.gamma
     pf_inf = m.forget.peak_density()
@@ -219,10 +216,10 @@ def thm4_forget_bound(
     return bias + term2 + term3
 
 
-def _unit_density_crossings(m: Mixture, lo: float, hi: float, grid: int = 4096) -> list[float]:
+def _unit_density_crossings(m: Mixture, lo: float, hi: float) -> list[float]:
     """Roots of ln p(z) inside (lo, hi): the kinks of |ln p(z)|.  Found by a
-    sign scan over a dense grid followed by bisection."""
-    z = np.linspace(lo, hi, grid)
+    sign scan over a 4096-point grid followed by bisection."""
+    z = np.linspace(lo, hi, 4096)
     lp = m.log_density(z)
     roots = []
     sign_change = np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0)
@@ -246,7 +243,6 @@ def thm5_retain_bound(
     m: Mixture,
     delta: float,
     T: float,
-    tau_grid: Optional[Sequence[float]] = None,
     quad_tol: float = 1e-10,
 ) -> float:
     """Retain Error bound for the T-tempered estimator:
@@ -256,17 +252,15 @@ def thm5_retain_bound(
 
     The bias coefficient vanishes at T = 1, reproducing the untempered bound.
     """
-    if T < 1.0:
-        raise ValueError("T must be >= 1")
+    if not 1.0 <= T < math.inf:
+        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
     base = thm1_retain_bound(delta, m.gamma)
     if T == 1.0:
         return base
-    if tau_grid is None:
-        tau_grid = default_tau_grid(T)
 
     h_r = m.retain.entropy()
     worst = -math.inf
-    for tau in tau_grid:
+    for tau in default_tau_grid(T):
         tau = float(tau)
         lo, hi = integration_window(m, tau)
         seeds = quadrature_seeds(m, tau) + tuple(_unit_density_crossings(m, lo, hi))
@@ -309,7 +303,7 @@ def tempered_gaussian_log_integral(v: float, tau: float) -> float:
     """
     if v < 1.0 / (2.0 * math.pi):
         raise ValueError("identity needs v >= 1/(2 pi) so the log-density is nonpositive")
-    if tau < 1.0:
-        raise ValueError("tau must be >= 1")
+    if not 1.0 <= tau < math.inf:
+        raise ValueError(f"temperature tau must lie in [1, inf), got {tau}")
     tp = 2.0 * math.pi * v
     return tp ** ((tau - 1.0) / (2.0 * tau)) * math.sqrt(tau) * (tau / 2.0 + 0.5 * math.log(tp))

@@ -185,20 +185,18 @@ CHECKS = [
 ]
 
 
-def run_checks(verbose: bool = True) -> int:
+def run_checks() -> int:
+    """Run every check, print one PASS/FAIL line each and a summary; return
+    the process exit code."""
     failures = 0
     for name, fn in CHECKS:
         try:
             ok = fn()
         except Exception as exc:  # a crash is a failure with context
-            ok = False
-            if verbose:
-                print(f"FAIL {name}: {exc!r}")
-                failures += 1
-                continue
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
+            print(f"FAIL {name}: {exc!r}")
+            failures += 1
+            continue
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
-    if verbose:
-        print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 1 if failures else 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -18,6 +18,14 @@ from ._kernels import as_array, log_sigmoid, mean_se, sigmoid, softplus
 from .dist import Mixture, UniformComponent
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
+
+# damped-Newton settings of train()
+MAX_ITER = 10_000
+GRAD_TOL = 1e-8
+FAIL_GRAD = 1e-4  # gradient norm above this at the optimizer stop is an error
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 80
 
 
 class TrainingError(RuntimeError):
@@ -130,16 +138,6 @@ class PiecewiseClassifier:
 Classifier = Union[QuadClassifier, PiecewiseClassifier]
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iter: int = 10_000
-    grad_tol: float = 1e-8
-    fail_grad: float = 1e-4     # gradient norm above this at the cap is an error
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 80
-
-
 def _objective(w, X, s, lam):
     """Smooth regularized cross-entropy: mean softplus(t) - s*t + lam*|w|^2."""
     t = X @ w
@@ -158,16 +156,16 @@ def reg_loss_and_grad(weights, z, s, lam):
     return value, grad
 
 
-def _train(data: LabeledDataset, lam: float, opt: OptimizerConfig):
+def _train(data: LabeledDataset, lam: float):
     X = quadratic_features(data.z)
     s = data.s.astype(np.float64)
     w = np.zeros(3)
     value, grad, sig = _objective(w, X, s, lam)
     history = [value]
 
-    for _ in range(opt.max_iter):
+    for _ in range(MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= opt.grad_tol:
+        if gnorm <= GRAD_TOL:
             break
         # damped Newton step; the 3x3 Hessian is cheap and exact
         wdiag = sig * (1.0 - sig)
@@ -189,43 +187,38 @@ def _train(data: LabeledDataset, lam: float, opt: OptimizerConfig):
         slope = float(grad @ direction)
         t = 1.0
         accepted = False
-        for _bt in range(opt.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             w_new = w + t * direction
             v_new, g_new, sig_new = _objective(w_new, X, s, lam)
-            if v_new <= value + opt.armijo_c * t * slope:
+            if v_new <= value + ARMIJO_C * t * slope:
                 accepted = True
                 break
-            t *= opt.backtrack
+            t *= BACKTRACK
         if not accepted:
             break  # no descent at the smallest step: numerically stationary
         w, value, grad, sig = w_new, v_new, g_new, sig_new
         history.append(value)
 
     gnorm = float(np.linalg.norm(grad))
-    if not gnorm <= opt.fail_grad:  # a NaN gradient fails too
+    if not gnorm <= FAIL_GRAD:  # a NaN gradient fails too
         raise TrainingError(
-            f"gradient norm {gnorm:.3e} > {opt.fail_grad:.0e} after optimizer stop"
+            f"gradient norm {gnorm:.3e} > {FAIL_GRAD:.0e} after optimizer stop"
         )
     return QuadClassifier(weights=w, lam=lam), history
 
 
-def train(
-    data: LabeledDataset,
-    lam: float,
-    opt: Optional[OptimizerConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> QuadClassifier:
+def train(data: LabeledDataset, lam: float) -> QuadClassifier:
     """Minimize the regularized cross-entropy over quadratic features.
 
     Damped Newton with Armijo backtracking from a zero start; the objective
-    is convex (strongly convex for lam > 0) so the run is deterministic and
-    the rng argument is unused.  Stops at gradient norm <= grad_tol or the
-    iteration cap; raises :class:`TrainingError` if the gradient is still
-    above ``fail_grad`` there, or is not finite (z^2 overflowed).
+    is convex (strongly convex for lam > 0), so the run is deterministic.
+    Stops at gradient norm <= GRAD_TOL or after MAX_ITER steps; raises
+    :class:`TrainingError` if the gradient is still above FAIL_GRAD there,
+    or is not finite (z^2 overflowed).
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
-    clf, _ = _train(data, lam, opt or OptimizerConfig())
+    clf, _ = _train(data, lam)
     return clf
 
 

@@ -163,7 +163,7 @@ def _cmd_tinylm(args) -> int:
 def _cmd_check(args) -> int:
     from .checks import run_checks
 
-    return run_checks(verbose=True)
+    return run_checks()
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ from . import _kernels
 from ._kernels import as_array
 
 WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
+MAX_DEPTH = 20  # subdivision levels before quadrature gives up
 
 
 class QuadratureError(RuntimeError):
@@ -63,8 +64,8 @@ class GaussianComponent:
         Raising N(mu, v) to 1/T rescales the variance to T*v; the leftover
         constant is C = (2*pi*v)^((T-1)/(2T)) * sqrt(T).
         """
-        if T < 1.0:
-            raise ValueError(f"temperature must be >= 1, got {T}")
+        if not 1.0 <= T < math.inf:
+            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
         normalizer = (2.0 * math.pi * self.variance) ** ((T - 1.0) / (2.0 * T)) * math.sqrt(T)
         return GaussianComponent(self.mean, T * self.variance), normalizer
 
@@ -108,8 +109,8 @@ class UniformComponent:
 
     def temper(self, T: float) -> tuple["UniformComponent", float]:
         """Tempering a flat density leaves it flat; only the constant moves."""
-        if T < 1.0:
-            raise ValueError(f"temperature must be >= 1, got {T}")
+        if not 1.0 <= T < math.inf:
+            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
         width = self.hi - self.lo
         return self, width ** ((T - 1.0) / T)
 
@@ -207,49 +208,25 @@ def quadrature_seeds(m: Mixture, T: float = 1.0) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def _as_vectorized(f: Callable, lo: float, hi: float) -> Callable:
-    """Return an array-in/array-out version of f, probing once whether f
-    already broadcasts over arrays."""
-    probe = np.array([lo, 0.5 * (lo + hi)])
-    try:
-        out = np.asarray(f(probe), dtype=np.float64)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        return np.array([float(f(xi)) for xi in x], dtype=np.float64)
-
-    return wrapped
-
-
-def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(x), dtype=np.float64)
-    if out.shape != x.shape:  # constant-returning integrand
-        out = np.broadcast_to(out, x.shape).astype(np.float64)
-    return out
-
-
 def quadrature(
-    f: Callable,
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_depth: int = 20,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Adaptive composite Simpson integral of f over [lo, hi].
 
-    ``tol`` is the absolute error target.  The interval is pre-split at any
+    ``f`` is evaluated on whole batches of points: it takes a 1-d float64
+    array and returns a float64 array of the same shape.  ``tol`` is the
+    absolute error target.  The interval is pre-split at any
     ``breakpoints`` lying strictly inside (lo, hi); each piece is then
     refined adaptively, halving its error budget per split, with Richardson
     extrapolation of the accepted panels.  Raises :class:`QuadratureError`
-    if any panel is still unconverged after ``max_depth`` subdivisions.
+    if any panel is still unconverged after MAX_DEPTH subdivisions.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    f = _as_vectorized(f, lo, hi)
     edges = [lo] + sorted({float(b) for b in breakpoints if lo < b < hi}) + [hi]
     edges = np.asarray(edges, dtype=np.float64)
     n_seg = len(edges) - 1
@@ -261,18 +238,18 @@ def quadrature(
     a[1:] = np.nextafter(a[1:], np.inf)
     b[:-1] = np.nextafter(b[:-1], -np.inf)
     mid = 0.5 * (a + b)
-    fa = _eval_batch(f, a)
-    fm = _eval_batch(f, mid)
-    fb = _eval_batch(f, b)
+    fa = f(a)
+    fm = f(mid)
+    fb = f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = np.full(n_seg, tol / n_seg)
 
     total = 0.0
-    for _depth in range(max_depth + 1):
+    for _depth in range(MAX_DEPTH + 1):
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
-        flm = _eval_batch(f, lm)
-        frm = _eval_batch(f, rm)
+        flm = f(lm)
+        frm = f(rm)
         left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
         s2 = left + right
@@ -292,6 +269,6 @@ def quadrature(
         whole = np.concatenate([left[keep], right[keep]])
         budget = np.concatenate([budget[keep] * 0.5, budget[keep] * 0.5])
     raise QuadratureError(
-        f"adaptive Simpson did not converge to tol={tol} within {max_depth} levels "
+        f"adaptive Simpson did not converge to tol={tol} within {MAX_DEPTH} levels "
         f"({a.size} panels still open)"
     )

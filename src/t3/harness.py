@@ -292,7 +292,7 @@ def run_trial(
 
     records = []
     for T in config.t_grid:
-        est = build(m, clf, T, method="quadrature", tol=config.partition_tol)
+        est = build(m, clf, T, tol=config.partition_tol)
         retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, est.partition))
         forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, est.partition))
         records.append(
@@ -314,7 +314,18 @@ def run_trial(
 
 
 def _trial_task(args) -> list[TrialRecord]:
-    return run_trial(*args)
+    """run_trial(*args), with any failure re-raised under a message that
+    names the trial and the call that replays it."""
+    config, v_f, n, lam, stream_tag, trial_index = args
+    try:
+        return run_trial(*args)
+    except Exception as exc:
+        seed = derive_seed(config.base_seed, stream_tag, trial_index)
+        raise RuntimeError(
+            f"trial {trial_index} of stream {stream_tag} failed (seed {seed}): {exc!r}; "
+            f"replay with run_trial(config, {v_f!r}, {n}, {lam!r}, {stream_tag}, {trial_index}) "
+            f"at base_seed={config.base_seed}"
+        ) from exc
 
 
 def _run_trials(tasks: list[tuple], workers: int) -> list[TrialRecord]:
@@ -449,11 +460,11 @@ def soundness_reports_for_classifier(
 def run_soundness_sweep(
     config: ExperimentConfig,
     n_classifiers: int = 50,
-    include_witness: bool = True,
     tempered_t: Optional[float] = None,
 ) -> list[bounds_mod.BoundReport]:
     """Train classifiers on randomized instances, measure errors, and record
-    a soundness row per bound at delta_hat + 3 SE.
+    a soundness row per bound at delta_hat + 3 SE; then add ten rows checking
+    the forget-error lower bound on witness instances.
 
     Upper bounds are reported as measured <= bound; the lower bounds (the
     witness forget bound, the partition bound) swap roles so the recorded
@@ -479,23 +490,22 @@ def run_soundness_sweep(
             )
         )
 
-    if include_witness:
-        for i in range(10):
-            rng = np.random.default_rng(derive_seed(config.base_seed, 91, i))
-            gamma = float(rng.uniform(0.05, 0.5))
-            delta = float(10.0 ** rng.uniform(-4.0, -1.0))
-            m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-            wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
-            est = build(m, wit, 1.0, tol=config.partition_tol)
-            fog = forget_error(est, m, config.n_mc, rng)
-            lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
-            reports.append(
-                bounds_mod.BoundReport(
-                    bound_name="forget_lower_witness",
-                    inputs={"gamma": gamma, "delta": delta},
-                    bound_value=fog.value,
-                    measured_value=lb,
-                    measured_std_err=fog.std_err,
-                )
+    for i in range(10):
+        rng = np.random.default_rng(derive_seed(config.base_seed, 91, i))
+        gamma = float(rng.uniform(0.05, 0.5))
+        delta = float(10.0 ** rng.uniform(-4.0, -1.0))
+        m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+        wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
+        est = build(m, wit, 1.0, tol=config.partition_tol)
+        fog = forget_error(est, m, config.n_mc, rng)
+        lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
+        reports.append(
+            bounds_mod.BoundReport(
+                bound_name="forget_lower_witness",
+                inputs={"gamma": gamma, "delta": delta},
+                bound_value=fog.value,
+                measured_value=lb,
+                measured_std_err=fog.std_err,
             )
+        )
     return reports

@@ -26,8 +26,8 @@ class ErrorEstimate:
     n_mc: int
 
     def __post_init__(self):
-        if self.std_err < 0.0:
-            raise ValueError("std_err must be >= 0")
+        if not self.std_err >= 0.0:  # NaN fails too
+            raise ValueError(f"std_err must be >= 0, got {self.std_err}")
 
 
 def retain_terms(log_pr, log_p, log_f, T: float, partition: float) -> np.ndarray:

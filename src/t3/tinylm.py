@@ -329,8 +329,8 @@ def tilted_next_token(
     cancels exactly in the renormalization and the output reproduces the
     base distribution bit for bit.
     """
-    if T < 1.0:
-        raise ValueError("temperature must be >= 1")
+    if not 1.0 <= T < math.inf:
+        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
     row = lm._row(lm._ctx_ids(context))
     if head is not None:
         g = np.clip(head.scores(context), HEAD_CLAMP, 1.0)

@@ -175,7 +175,7 @@ class TestC3Gradient:
 class TestC4BoundSoundness:
     def test_fifty_classifiers_zero_violations(self, config):
         t0 = time.perf_counter()
-        reports = run_soundness_sweep(config, n_classifiers=50, include_witness=True)
+        reports = run_soundness_sweep(config, n_classifiers=50)
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0, f"soundness sweep took {elapsed:.0f}s"
         violations = [r for r in reports if not r.sound]

@@ -9,7 +9,6 @@ import pytest
 from t3._kernels import mean_se
 from t3.classifier import (
     LabeledDataset,
-    OptimizerConfig,
     PiecewiseClassifier,
     QuadClassifier,
     TrainingError,
@@ -72,7 +71,7 @@ class TestTrain:
 
     def test_monotone_objective(self):
         d = _dataset(DEFAULT, 500, 13)
-        _, history = _train(d, 1e-3, OptimizerConfig())
+        _, history = _train(d, 1e-3)
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-14)
 
@@ -221,6 +220,11 @@ class TestExcessRisk:
         clf = train(d, 1e-3)
         d_hat, se = estimate_excess_risk(clf, DEFAULT, bayes_classifier(DEFAULT), 10**5, np.random.default_rng(3))
         assert d_hat >= -3 * se
+
+    def test_single_draw_has_no_standard_error(self):
+        clf = QuadClassifier(weights=np.zeros(3))
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            estimate_excess_risk(clf, DEFAULT, bayes_classifier(DEFAULT), 1, np.random.default_rng(0))
 
 
 class TestLemma1Property:

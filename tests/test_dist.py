@@ -163,14 +163,10 @@ class TestQuadrature:
         q = quadrature(lambda z: np.exp(0.5 * g.log_density(z)), -12, 12, tol=1e-10)
         np.testing.assert_allclose(q, 2.2390302698404954, atol=1e-8)
 
-    def test_scalar_only_integrand_is_vectorized(self):
-        q = quadrature(lambda x: float(x) ** 2, 0.0, 1.0, tol=1e-12)
-        np.testing.assert_allclose(q, 1.0 / 3.0, atol=1e-12)
-
     def test_nonconvergence_signals(self):
         # a jump with no breakpoint never meets the budget
         with pytest.raises(QuadratureError):
-            quadrature(lambda z: np.where(z < 1 / 3, 0.0, 1.0), 0.0, 1.0, tol=1e-12, max_depth=8)
+            quadrature(lambda z: np.where(z < 1 / 3, 0.0, 1.0), 0.0, 1.0, tol=1e-12)
 
     def test_breakpoints_resolve_jumps(self):
         q = quadrature(

@@ -14,7 +14,9 @@ from t3.dist import (
     quadrature,
     quadrature_seeds,
 )
-from t3.estimator import ImportanceSamplingError, build, tempered_oracle
+from t3.estimator import build, tempered_oracle
+from t3 import bounds as B
+from t3 import tinylm as tl
 from t3.bounds import lemma2_partition_lower_bound
 from t3.classifier import estimate_excess_risk
 
@@ -39,41 +41,9 @@ class TestBuild:
         )
         np.testing.assert_allclose(est.partition, expected, rtol=1e-8)
 
-    def test_importance_sampling_agrees_with_quadrature(self):
-        rng = np.random.default_rng(17)
-        for i in range(20):
-            inst = np.random.default_rng(1000 + i)
-            m = Mixture(
-                float(inst.uniform(0.05, 0.5)),
-                GaussianComponent(float(inst.uniform(0, 2)), float(inst.uniform(0.5, 2.0))),
-                GaussianComponent(float(inst.uniform(-1, 1)), float(10 ** inst.uniform(-4, 0))),
-            )
-            clf = QuadClassifier(weights=inst.normal(scale=0.8, size=3))
-            T = float(inst.uniform(1.0, 3.0))
-            eq = build(m, clf, T)
-            ei = build(m, clf, T, method="importance_sampling", n_mc=10**5, rng=rng)
-            assert abs(ei.partition - eq.partition) <= 4.0 * ei.partition_std_err
-
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
             build(DEFAULT, NEAR_ONE, 0.99)
-
-    def test_is_needs_rng(self):
-        with pytest.raises(ValueError):
-            build(DEFAULT, NEAR_ONE, 1.0, method="importance_sampling")
-
-    def test_is_flags_collapsed_ess(self):
-        # classifier mass concentrated far in the tail of the proposal
-        clf = QuadClassifier(weights=np.array([-200.0, 0.0, 2.0]))
-        with pytest.raises(ImportanceSamplingError):
-            build(
-                DEFAULT,
-                clf,
-                1.0,
-                method="importance_sampling",
-                n_mc=20_000,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestDensity:
@@ -174,3 +144,28 @@ class TestLemma2Soundness:
             est = build(DEFAULT, clf, T)
             bound = lemma2_partition_lower_bound(DEFAULT, d_hat + 3 * d_se, T)
             assert est.partition >= bound
+
+
+def _tilted_next_token(T):
+    lm = tl.fit_lm([["a", "b"]], order=1, smoothing=1e-3, vocab=("a", "b"))
+    return tl.tilted_next_token(lm, None, ["a"], T)
+
+
+TEMPERATURE_ENTRY_POINTS = {
+    "build": lambda T: build(DEFAULT, NEAR_ONE, T),
+    "tempered_oracle": lambda T: tempered_oracle(DEFAULT, T),
+    "GaussianComponent.temper": lambda T: GaussianComponent(0.0, 1.0).temper(T),
+    "UniformComponent.temper": lambda T: UniformComponent(0.0, 1.0).temper(T),
+    "lemma2_partition_lower_bound": lambda T: B.lemma2_partition_lower_bound(DEFAULT, 0.01, T),
+    "thm4_forget_bound": lambda T: B.thm4_forget_bound(DEFAULT, 0.01, T),
+    "thm5_retain_bound": lambda T: B.thm5_retain_bound(DEFAULT, 0.01, T),
+    "tempered_gaussian_log_integral": lambda T: B.tempered_gaussian_log_integral(1.0, T),
+    "tilted_next_token": _tilted_next_token,
+}
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.99])
+@pytest.mark.parametrize("entry", sorted(TEMPERATURE_ENTRY_POINTS))
+def test_rejects_temperature_outside_one_to_inf(entry, T):
+    with pytest.raises(ValueError, match="temperature"):
+        TEMPERATURE_ENTRY_POINTS[entry](T)

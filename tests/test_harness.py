@@ -93,6 +93,29 @@ class TestSeeding:
         assert (fog.value, fog.std_err) == (rec.forget_err, rec.forget_se)
 
 
+class TestTrialFailure:
+    def test_failing_trial_names_itself(self, monkeypatch):
+        from t3 import harness
+        from t3.classifier import LabeledDataset, TrainingError
+
+        cfg = replace(FAST, v_f_grid=(1e-3,))
+        seed = derive_seed(cfg.base_seed, 10, 1)
+        doomed = LabeledDataset.from_mixture(cfg.mixture(1e-3), cfg.n, np.random.default_rng(seed)).z
+        real_train = harness.train
+
+        def train(data, lam):
+            if np.array_equal(data.z, doomed):
+                raise TrainingError("injected")
+            return real_train(data, lam)
+
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(RuntimeError, match=rf"trial 1 of stream 10 failed \(seed {seed}\)") as info:
+            run_experiment1(cfg, workers=1)
+        assert isinstance(info.value.__cause__, TrainingError)
+        assert "run_trial(config, 0.001, 40, " in str(info.value)
+        assert f"base_seed={cfg.base_seed}" in str(info.value)
+
+
 class TestConfig:
     def test_parse_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -205,7 +228,7 @@ class TestEmit:
 class TestSoundnessSweep:
     def test_small_sweep_has_no_violations(self):
         cfg = replace(FAST, n_mc=20_000, n_mc_risk=20_000)
-        reports = run_soundness_sweep(cfg, n_classifiers=5, include_witness=True)
+        reports = run_soundness_sweep(cfg, n_classifiers=5)
         names = {r.bound_name for r in reports}
         assert {
             "retain_upper",
@@ -218,9 +241,7 @@ class TestSoundnessSweep:
 
     def test_tempered_rows_sound(self):
         cfg = replace(FAST, n_mc=20_000, n_mc_risk=20_000)
-        reports = run_soundness_sweep(
-            cfg, n_classifiers=3, include_witness=False, tempered_t=1.5
-        )
+        reports = run_soundness_sweep(cfg, n_classifiers=3, tempered_t=1.5)
         tempered = [r for r in reports if r.bound_name.endswith("_tempered")]
         assert len(tempered) == 9  # three rows per classifier
         assert all(r.sound for r in tempered)

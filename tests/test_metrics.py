@@ -37,8 +37,16 @@ def _log_estimate(est, z):
 
 
 def test_error_estimate_rejects_negative_se():
-    with pytest.raises(ValueError):
-        ErrorEstimate(value=0.0, std_err=-1.0, n_mc=10)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ErrorEstimate(value=0.0, std_err=bad, n_mc=10)
+
+
+@pytest.mark.parametrize("metric", [retain_error, forget_error])
+def test_single_draw_has_no_standard_error(metric):
+    est = build(DEFAULT, bayes_classifier(DEFAULT), 1.0)
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        metric(est, DEFAULT, 1, np.random.default_rng(0))
 
 
 class TestOracleRecovery:
