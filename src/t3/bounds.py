@@ -216,27 +216,30 @@ def thm4_forget_bound(
     return bias + term2 + term3
 
 
-def _unit_density_crossings(m: Mixture, lo: float, hi: float) -> list[float]:
-    """Roots of ln p(z) inside (lo, hi): the kinks of |ln p(z)|.  Found by a
-    sign scan over a 4096-point grid followed by bisection."""
-    z = np.linspace(lo, hi, 4096)
-    lp = m.log_density(z)
-    roots = []
-    sign_change = np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0)
-    for i in sign_change:
-        a, b = float(z[i]), float(z[i + 1])
-        fa = float(lp[i])
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = float(m.log_density(mid)[0])
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-14 * max(1.0, abs(mid)):
-                break
-        roots.append(0.5 * (a + b))
-    return roots
+def _unit_density_crossings(m: Mixture, windows: list) -> list[list[float]]:
+    """Roots of ln p(z) inside each (lo, hi) window: the kinks of |ln p(z)|.
+    Found by a sign scan over a 4096-point grid per window, then bisection
+    of every bracketed root of every window at once, each root stopping at
+    its own tolerance."""
+    lo, hi = np.array(windows, dtype=np.float64).T
+    z = np.linspace(lo, hi, 4096, axis=1)
+    lp = m.log_density(z.ravel()).reshape(z.shape)
+    rows, cols = np.nonzero(np.sign(lp[:, :-1]) * np.sign(lp[:, 1:]) < 0)
+    a, b, fa = z[rows, cols], z[rows, cols + 1], lp[rows, cols]
+    live = np.ones(rows.size, dtype=bool)
+    for _ in range(80):
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fm = m.log_density(mid)
+        left = fa * fm <= 0.0
+        move = live & ~left
+        b = np.where(live & left, mid, b)
+        a = np.where(move, mid, a)
+        fa = np.where(move, fm, fa)
+        live &= ~(b - a < 1e-14 * np.maximum(1.0, np.abs(mid)))
+    roots = 0.5 * (a + b)
+    return [roots[rows == i].tolist() for i in range(len(windows))]
 
 
 def thm5_retain_bound(
@@ -259,11 +262,11 @@ def thm5_retain_bound(
         return base
 
     h_r = m.retain.entropy()
+    taus = [float(tau) for tau in default_tau_grid(T)]
+    windows = [integration_window(m, tau) for tau in taus]
     worst = -math.inf
-    for tau in default_tau_grid(T):
-        tau = float(tau)
-        lo, hi = integration_window(m, tau)
-        seeds = quadrature_seeds(m, tau) + tuple(_unit_density_crossings(m, lo, hi))
+    for tau, (lo, hi), crossings in zip(taus, windows, _unit_density_crossings(m, windows)):
+        seeds = quadrature_seeds(m, tau) + tuple(crossings)
         num = quadrature(
             lambda z: np.exp(m.log_density(z) / tau) * np.abs(m.log_density(z)),
             lo,

@@ -18,10 +18,25 @@ import sys
 import numpy as np
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=1,
+        help="worker processes for the lambda-search and trials",
+    )
     p.add_argument("--trials", type=int, default=None, help="override trial count")
 
 

@@ -20,10 +20,11 @@ from ._kernels import as_array
 
 WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
+MAX_EVALUATIONS = 1_000_000  # integrand points per quadrature before it gives up
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive Simpson hit its subdivision limit without converging."""
+    """Adaptive Simpson hit its depth or evaluation limit without converging."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,9 @@ def quadrature(
     ``breakpoints`` lying strictly inside (lo, hi); each piece is then
     refined adaptively, halving its error budget per split, with Richardson
     extrapolation of the accepted panels.  Raises :class:`QuadratureError`
-    if any panel is still unconverged after MAX_DEPTH subdivisions.
+    if any panel is still unconverged after MAX_DEPTH subdivisions, or if
+    the next level would take the integrand points past MAX_EVALUATIONS
+    (the depth limit bounds each panel, this cap the number of open ones).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -245,7 +248,14 @@ def quadrature(
     budget = np.full(n_seg, tol / n_seg)
 
     total = 0.0
-    for _depth in range(MAX_DEPTH + 1):
+    evaluations = 3 * n_seg
+    for depth in range(MAX_DEPTH + 1):
+        evaluations += 2 * a.size
+        if evaluations > MAX_EVALUATIONS:
+            raise QuadratureError(
+                f"adaptive Simpson would pass {MAX_EVALUATIONS} integrand evaluations "
+                f"at depth {depth} ({a.size} panels still open, tol={tol})"
+            )
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
         flm = f(lm)

@@ -1,10 +1,17 @@
 """Experiment orchestration: the synthetic Gaussian sweeps, regularization
 search, multi-seed trials, and bound-soundness runs.
 
+A sweep with workers > 1 opens one process pool for all its groups.  The
+pool first runs the lambda-search cells (one per group and lambda-grid
+index); the parent picks each group's lambda from their risks, and the same
+pool then runs every trial of every group.  With one worker nothing is
+spawned and the same cell and trial functions run in-process.
+
 Determinism contract: every trial derives its rng stream from
-splitmix64(base_seed, stream tag, trial index), so results are bit-identical
-for any worker count and unchanged when other trials are added or removed.
-Aggregation order is fixed by trial index.
+splitmix64(base_seed, stream tag, trial index), and every lambda-search fit
+from splitmix64(base_seed, stream tag, 1000 + lambda index, fit index), so
+results are bit-identical for any worker count and unchanged when other
+trials are added or removed.  Aggregation order is fixed by trial index.
 """
 
 from __future__ import annotations
@@ -86,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("n_mc and n_mc_risk must be >= 2 for a standard error")
         if self.lambda_search_trials < 1:
             raise ValueError("lambda_search_trials must be >= 1")
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must be nonempty")
 
     def mixture(self, v_f: float) -> Mixture:
         return Mixture(
@@ -224,6 +233,44 @@ def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> tup
     return mean_se(cross_entropy_terms(clf, z, s))
 
 
+def _lambda_cell(args) -> list[float]:
+    """Population risks of the lambda_search_trials fits at one lambda-grid
+    index, in trial order; a failing fit re-raises under a message that
+    names it and the call that replays it."""
+    config, v_f, n, stream_tag, li = args
+    m = config.mixture(v_f)
+    lam = config.lambda_grid[li]
+    risks = []
+    for trial in range(config.lambda_search_trials):
+        seed = derive_seed(config.base_seed, stream_tag, 1_000 + li, trial)
+        rng = np.random.default_rng(seed)
+        try:
+            clf = train(LabeledDataset.from_mixture(m, n, rng), lam)
+            risks.append(population_risk(clf, m, config.n_mc_risk, rng)[0])
+        except Exception as exc:
+            raise RuntimeError(
+                f"lambda-search fit {trial} at lambda[{li}] = {lam!r} of stream {stream_tag} "
+                f"failed (seed {seed}): {exc!r}; replay with lambda_search(config, {v_f!r}, "
+                f"{n}, {stream_tag}) at base_seed={config.base_seed}"
+            ) from exc
+    return risks
+
+
+def _lambda_cells(config: ExperimentConfig, v_f: float, n: int, stream_tag: int) -> list[tuple]:
+    return [(config, v_f, n, stream_tag, li) for li in range(len(config.lambda_grid))]
+
+
+def _pick_lambda(config: ExperimentConfig, cell_risks) -> float:
+    """Grid value with the smallest mean risk; ties break toward the larger
+    coefficient."""
+    best_lam, best_risk = None, math.inf
+    for lam, risks in zip(config.lambda_grid, cell_risks):
+        mean_risk = float(np.mean(risks))
+        if mean_risk <= best_risk:  # <= so later (larger) lambdas win ties
+            best_risk, best_lam = mean_risk, lam
+    return float(best_lam)
+
+
 def lambda_search(
     config: ExperimentConfig,
     v_f: float,
@@ -232,23 +279,7 @@ def lambda_search(
 ) -> float:
     """Grid value minimizing the mean MC population risk over fresh-data
     trials; ties break toward the larger coefficient."""
-    if not config.lambda_grid:
-        raise ValueError("lambda grid must be nonempty")
-    m = config.mixture(v_f)
-    best_lam, best_risk = None, math.inf
-    for li, lam in enumerate(config.lambda_grid):
-        risks = []
-        for trial in range(config.lambda_search_trials):
-            rng = np.random.default_rng(
-                derive_seed(config.base_seed, stream_tag, 1_000 + li, trial)
-            )
-            data = LabeledDataset.from_mixture(m, n, rng)
-            clf = train(data, lam)
-            risks.append(population_risk(clf, m, config.n_mc_risk, rng)[0])
-        mean_risk = float(np.mean(risks))
-        if mean_risk <= best_risk:  # <= so later (larger) lambdas win ties
-            best_risk, best_lam = mean_risk, lam
-    return float(best_lam)
+    return _pick_lambda(config, map(_lambda_cell, _lambda_cells(config, v_f, n, stream_tag)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +359,35 @@ def _trial_task(args) -> list[TrialRecord]:
         ) from exc
 
 
-def _run_trials(tasks: list[tuple], workers: int) -> list[TrialRecord]:
-    if workers <= 1:
-        batches = [_trial_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_trial_task, tasks, chunksize=1))
-    return [rec for batch in batches for rec in batch]
-
-
 def _sweep(
     config: ExperimentConfig, sweep_key: str, groups: list, stream_tag0: int, workers: int
 ) -> SweepTable:
     """For each (v_f, n) group, pick lambda by search, then run the seeded
-    trials; group gi draws from stream tag stream_tag0 + gi."""
-    records: list[TrialRecord] = []
-    for gi, (v_f, n) in enumerate(groups):
-        tag = stream_tag0 + gi
-        lam = lambda_search(config, v_f, n, stream_tag=tag)
-        tasks = [(config, v_f, n, lam, tag, trial) for trial in range(config.trials)]
-        records.extend(_run_trials(tasks, workers))
-    return SweepTable(sweep_key=sweep_key, records=tuple(records))
+    trials; group gi draws from stream tag stream_tag0 + gi.  One pool, no
+    larger than the task count, serves both phases (see the module notes)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    tagged = [(v_f, n, stream_tag0 + gi) for gi, (v_f, n) in enumerate(groups)]
+    cells = [_lambda_cells(config, *g) for g in tagged]
+    workers = min(workers, max(sum(map(len, cells)), len(tagged) * config.trials))
+
+    def trial_tasks(lams):
+        return [
+            (config, v_f, n, lam, tag, trial)
+            for (v_f, n, tag), lam in zip(tagged, lams)
+            for trial in range(config.trials)
+        ]
+
+    if workers <= 1:
+        lams = [lambda_search(config, *g) for g in tagged]
+        batches = [_trial_task(t) for t in trial_tasks(lams)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            risks = iter(pool.map(_lambda_cell, [c for cs in cells for c in cs], chunksize=1))
+            lams = [_pick_lambda(config, [next(risks) for _ in cs]) for cs in cells]
+            batches = list(pool.map(_trial_task, trial_tasks(lams), chunksize=1))
+    records = tuple(rec for batch in batches for rec in batch)
+    return SweepTable(sweep_key=sweep_key, records=records)
 
 
 def run_experiment1(config: ExperimentConfig, workers: int = 1) -> SweepTable:

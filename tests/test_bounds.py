@@ -8,7 +8,13 @@ import pytest
 
 from t3 import bounds as B
 from t3.classifier import witness_classifier
-from t3.dist import GaussianComponent, Mixture, UniformComponent, quadrature
+from t3.dist import (
+    GaussianComponent,
+    Mixture,
+    UniformComponent,
+    integration_window,
+    quadrature,
+)
 from t3.metrics import closed_form_errors
 
 GAUSS = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
@@ -129,6 +135,45 @@ class TestTemperedRetainBound:
             fine = B.thm5_retain_bound(GAUSS, 0.01, T, quad_tol=1e-10)
             assert math.isfinite(coarse)
             assert abs(fine - coarse) / abs(coarse) < 1e-4
+
+
+def _scalar_crossings(m, lo, hi):
+    """One root at a time, one scalar density call per bisection step: the
+    reference the batched root finder must match bit for bit."""
+    z = np.linspace(lo, hi, 4096)
+    lp = m.log_density(z)
+    roots = []
+    for i in np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0):
+        a, b, fa = float(z[i]), float(z[i + 1]), float(lp[i])
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            fm = float(m.log_density(mid)[0])
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            if b - a < 1e-14 * max(1.0, abs(mid)):
+                break
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+class TestUnitDensityCrossings:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            GAUSS,
+            FLAT,
+            WITNESS,
+            Mixture(0.3, GaussianComponent(0.0, 0.01), UniformComponent(-0.1, 0.1)),
+        ],
+    )
+    def test_batched_roots_equal_scalar_bisection(self, m):
+        windows = [integration_window(m, float(tau)) for tau in B.default_tau_grid(3.0)]
+        batched = B._unit_density_crossings(m, windows)
+        assert batched == [_scalar_crossings(m, lo, hi) for lo, hi in windows]
+        if m is GAUSS:
+            assert all(len(roots) == 2 for roots in batched)
 
 
 class TestProposition1:

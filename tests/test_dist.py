@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from t3.dist import (
+    MAX_EVALUATIONS,
     GaussianComponent,
     Mixture,
     QuadratureError,
@@ -167,6 +168,19 @@ class TestQuadrature:
         # a jump with no breakpoint never meets the budget
         with pytest.raises(QuadratureError):
             quadrature(lambda z: np.where(z < 1 / 3, 0.0, 1.0), 0.0, 1.0, tol=1e-12)
+
+    def test_evaluation_cap_bounds_open_panels(self):
+        # noise-like at every panel width the depth limit allows, so the depth
+        # limit alone would let it open 2^21 panels (4.2M evaluations)
+        calls = []
+
+        def noise(z):
+            calls.append(z.size)
+            return np.sin(1e15 * z)
+
+        with pytest.raises(QuadratureError, match=f"would pass {MAX_EVALUATIONS} integrand"):
+            quadrature(noise, 0.0, 1.0, tol=1e-10)
+        assert sum(calls) <= MAX_EVALUATIONS
 
     def test_breakpoints_resolve_jumps(self):
         q = quadrature(

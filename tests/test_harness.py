@@ -1,6 +1,7 @@
 """Seeding, config parsing, the regularization search, trial independence,
 CSV/SVG emission, and cross-worker determinism."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from t3.harness import (
     lambda_search,
     load_config,
     run_experiment1,
+    run_experiment2,
     run_soundness_sweep,
     run_trial,
 )
@@ -115,6 +117,35 @@ class TestTrialFailure:
         assert "run_trial(config, 0.001, 40, " in str(info.value)
         assert f"base_seed={cfg.base_seed}" in str(info.value)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_lambda_search_fit_names_itself(self, monkeypatch, workers):
+        from t3 import harness
+        from t3.classifier import LabeledDataset, TrainingError
+
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched train reaches pool workers only through fork")
+        cfg = replace(FAST, v_f_grid=(1e-3,))
+        seed = derive_seed(cfg.base_seed, 10, 1_000 + 1, 1)
+        doomed = LabeledDataset.from_mixture(cfg.mixture(1e-3), cfg.n, np.random.default_rng(seed)).z
+        real_train = harness.train
+
+        def train(data, lam):
+            if np.array_equal(data.z, doomed):
+                raise TrainingError("injected")
+            return real_train(data, lam)
+
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment1(cfg, workers=workers)
+        msg = str(info.value)
+        assert msg.startswith(
+            f"lambda-search fit 1 at lambda[1] = 0.01 of stream 10 failed (seed {seed}): "
+            "TrainingError('injected')"
+        )
+        assert msg.endswith("replay with lambda_search(config, 0.001, 40, 10) at base_seed=99")
+        if workers == 1:
+            assert isinstance(info.value.__cause__, TrainingError)
+
 
 class TestConfig:
     def test_parse_roundtrip(self, tmp_path):
@@ -141,7 +172,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "bad",
         [{"t_grid": (1.0, float("nan"))}, {"t_grid": (float("inf"),)}, {"n_mc": 1},
-         {"n_mc_risk": 1}, {"lambda_search_trials": 0}],
+         {"n_mc_risk": 1}, {"lambda_search_trials": 0}, {"lambda_grid": ()}],
     )
     def test_rejects_out_of_domain_fields(self, bad):
         with pytest.raises(ValueError):
@@ -263,7 +294,66 @@ class TestSoundnessSweep:
         assert all(abs(r.measured_value) <= 3 * r.measured_std_err + 1e-6 for r in upper)
 
 
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+# picks different lambdas for the groups of both sweeps
+PICKY = replace(FAST, lambda_grid=(1e-8, 1e-4, 1e-2, 1.0))
+
+
 class TestWorkerDeterminism:
+    @pytest.mark.parametrize(
+        "run, tag0, groups",
+        [
+            (run_experiment1, 10, [(v_f, PICKY.n) for v_f in PICKY.v_f_grid]),
+            (run_experiment2, 50, [(PICKY.v_f, n) for n in PICKY.n_grid]),
+        ],
+    )
+    def test_pool_matches_serial_in_process(self, run, tag0, groups):
+        serial = run(PICKY, workers=1)
+        pooled = run(PICKY, workers=2)
+        assert pooled.records == serial.records
+        picked = [r.lam for r in pooled.records[:: PICKY.trials * len(PICKY.t_grid)]]
+        assert picked == [
+            lambda_search(PICKY, v_f, n, tag0 + gi) for gi, (v_f, n) in enumerate(groups)
+        ]
+        assert len(set(picked)) > 1
+
+    def test_one_pool_per_sweep_capped_at_task_count(self, monkeypatch):
+        from t3 import harness
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "opened", [])
+        serial = run_experiment1(FAST, workers=1)
+        assert _InlinePool.opened == []
+        # 2 groups: 2 x 2 lambda cells, then 2 x 3 trials
+        assert run_experiment1(FAST, workers=8).records == serial.records
+        assert _InlinePool.opened == [6]
+        tiny = replace(FAST, v_f_grid=(1.0,), lambda_grid=(1e-2,), trials=1)
+        run_experiment1(tiny, workers=3)
+        assert _InlinePool.opened == [6]  # one task per phase: no pool
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment1(FAST, workers=workers)
+
     def test_cli_sweep_identical_across_worker_counts(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(FAST_CONFIG_TEXT)
