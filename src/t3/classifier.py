@@ -147,15 +147,6 @@ def _objective(w, X, s, lam):
     return value, grad, sig
 
 
-def reg_loss_and_grad(weights, z, s, lam):
-    """Regularized loss value and gradient at arbitrary weights (the surface
-    checked against central finite differences)."""
-    X = quadratic_features(z)
-    s = np.asarray(s, dtype=np.float64)
-    value, grad, _ = _objective(np.asarray(weights, dtype=np.float64), X, s, lam)
-    return value, grad
-
-
 def _train(data: LabeledDataset, lam: float):
     X = quadratic_features(data.z)
     s = data.s.astype(np.float64)
@@ -228,17 +219,6 @@ def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
     p = np.clip(clf.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
     s = np.asarray(s, dtype=np.float64)
     return -s * np.log(p) - (1.0 - s) * np.log1p(-p)
-
-
-def loss(clf: Classifier, data: LabeledDataset, regularized: bool = False) -> float:
-    """Mean cross-entropy of clf on data (see :func:`cross_entropy_terms`);
-    adds lam*|w|^2 when ``regularized`` is set."""
-    value = float(np.mean(cross_entropy_terms(clf, data.z, data.s)))
-    if regularized:
-        if not isinstance(clf, QuadClassifier):
-            raise TypeError("regularized loss needs a weight vector")
-        value += clf.lam * float(clf.weights @ clf.weights)
-    return value
 
 
 def bayes_classifier(m: Mixture) -> QuadClassifier:

@@ -5,7 +5,6 @@
     t3 bounds   --out results/                    bound-soundness sweep
     t3 verify-lb --gamma 0.1 --delta 0.01         lower-bound equality check
     t3 tinylm --corpus corpus.tsv --temperature 2 tabular-LM unlearning demo
-    t3 check                                      built-in property suite
 
 The T3_SEED environment variable overrides the configured base seed.
 """
@@ -13,19 +12,33 @@ The T3_SEED environment variable overrides the configured base seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
 
+from .harness import load_config, run_experiment1, run_experiment2, run_soundness_sweep
 
-def _worker_count(text: str) -> int:
+
+def _positive_int(text: str) -> int:
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
-        workers = 0
-    if workers < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return workers
+    return value
+
+
+def _temperature(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 1.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite temperature >= 1, got {text!r}")
+    return value
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -33,42 +46,26 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         help="worker processes for the lambda-search and trials",
     )
-    p.add_argument("--trials", type=int, default=None, help="override trial count")
+    p.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
 
 
 def _load_config(args):
-    from .harness import load_config
-
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
     return load_config(args.config, overrides)
 
 
-def _cmd_sweep_vf(args) -> int:
+def _cmd_sweep(run_experiment, prefix: str, args) -> int:
     from .emit import emit
-    from .harness import run_experiment1
 
     config = _load_config(args)
-    table = run_experiment1(config, workers=args.workers)
-    paths = emit(table, args.out, "sweep_vf")
-    print(f"wrote {paths['csv']}")
-    for c in paths["charts"]:
-        print(f"wrote {c}")
-    return 0
-
-
-def _cmd_sweep_n(args) -> int:
-    from .emit import emit
-    from .harness import run_experiment2
-
-    config = _load_config(args)
-    table = run_experiment2(config, workers=args.workers)
-    paths = emit(table, args.out, "sweep_n")
+    table = run_experiment(config, workers=args.workers)
+    paths = emit(table, args.out, prefix)
     print(f"wrote {paths['csv']}")
     for c in paths["charts"]:
         print(f"wrote {c}")
@@ -78,12 +75,7 @@ def _cmd_sweep_n(args) -> int:
 def _cmd_bounds(args) -> int:
     import os
 
-    from .harness import load_config, run_soundness_sweep
-
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    config = load_config(args.config, overrides)
+    config = _load_config(args)
     reports = run_soundness_sweep(
         config, n_classifiers=args.classifiers, tempered_t=args.tempered_t
     )
@@ -175,32 +167,26 @@ def _cmd_tinylm(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    from .checks import run_checks
-
-    return run_checks()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="t3", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep-vf", help="forget-variance sweep over the temperature grid")
     _add_config_args(p)
-    p.set_defaults(func=_cmd_sweep_vf)
+    p.set_defaults(func=functools.partial(_cmd_sweep, run_experiment1, "sweep_vf"))
 
     p = sub.add_parser("sweep-n", help="sample-size sweep over the temperature grid")
     _add_config_args(p)
-    p.set_defaults(func=_cmd_sweep_n)
+    p.set_defaults(func=functools.partial(_cmd_sweep, run_experiment2, "sweep_n"))
 
     p = sub.add_parser("bounds", help="train classifiers and check every bound")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--classifiers", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--classifiers", type=_positive_int, default=50)
     p.add_argument(
         "--tempered-t",
-        type=float,
+        type=_temperature,
         default=None,
         help="also check the tempered-estimator bounds at this temperature",
     )
@@ -214,7 +200,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("tinylm", help="run the tabular-LM unlearning demo")
     p.add_argument("--corpus", default=None, help="corpus TSV path")
-    p.add_argument("--temperature", type=float, default=2.0)
+    p.add_argument("--temperature", type=_temperature, default=2.0)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--smoothing", type=float, default=1e-3)
     p.add_argument("--head-lambda", type=float, default=1e-4)
@@ -223,9 +209,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--write-demo", default=None, help="write the built-in demo corpus here")
     p.set_defaults(func=_cmd_tinylm)
-
-    p = sub.add_parser("check", help="run the built-in property suite")
-    p.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -80,11 +80,12 @@ class ExperimentConfig:
     n_mc: int = 100_000         # per error metric, per (trial, T)
     n_mc_risk: int = 100_000    # excess-risk Monte Carlo
     base_seed: int = 1234
-    partition_tol: float = 1e-10
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.t_grid or not self.v_f_grid or not self.n_grid:
+            raise ValueError("t_grid, v_f_grid and n_grid must be nonempty")
         if not all(1.0 <= t < math.inf for t in self.t_grid):
             raise ValueError("temperature grid must lie in [1, inf)")
         if self.n < 1 or any(n < 1 for n in self.n_grid):
@@ -95,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("lambda_search_trials must be >= 1")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
+        for v_f in (*self.v_f_grid, self.v_f):
+            self.mixture(v_f)  # the component and mixture guards name a bad value
 
     def mixture(self, v_f: float) -> Mixture:
         return Mixture(
@@ -192,35 +195,21 @@ class SweepTable:
                 seen.append(v)
         return seen
 
-    def mean_errors(self, group_value, T: float) -> tuple[float, float, float, float]:
-        """(retain mean, retain SE-of-mean, forget mean, forget SE) over
-        trials at one (group, T) cell."""
-        rs = [
-            r
-            for r in self.records
-            if getattr(r, self.sweep_key) == group_value and r.T == T
-        ]
-        if not rs:
-            raise KeyError(f"no records at {self.sweep_key}={group_value}, T={T}")
-        ret = np.array([r.retain_err for r in rs])
-        fog = np.array([r.forget_err for r in rs])
-        if len(rs) == 1:  # one trial: no spread to report
-            return float(ret[0]), 0.0, float(fog[0]), 0.0
-        return (*mean_se(ret), *mean_se(fog))
-
     def mean_curve(self, group_value, metric: str) -> tuple[list[float], list[float], list[float]]:
-        """(T values, means, SEs) for one group; metric is 'retain' or 'forget'."""
-        ts = sorted({r.T for r in self.records if getattr(r, self.sweep_key) == group_value})
+        """(T values, means over trials, SEs of the means) for one group;
+        metric is 'retain' or 'forget'."""
+        rows = [r for r in self.records if getattr(r, self.sweep_key) == group_value]
+        ts = sorted({r.T for r in rows})
         means, ses = [], []
         for t in ts:
-            rm, rs_, fm, fs = self.mean_errors(group_value, t)
-            means.append(rm if metric == "retain" else fm)
-            ses.append(rs_ if metric == "retain" else fs)
+            errs = np.array([getattr(r, f"{metric}_err") for r in rows if r.T == t])
+            if errs.size == 1:  # one trial: no spread to report
+                mean, se = float(errs[0]), 0.0
+            else:
+                mean, se = mean_se(errs)
+            means.append(mean)
+            ses.append(se)
         return ts, means, ses
-
-    def argmin_forget_t(self, group_value) -> float:
-        ts, means, _ = self.mean_curve(group_value, "forget")
-        return ts[int(np.argmin(means))]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +312,7 @@ def run_trial(
 
     records = []
     for T in config.t_grid:
-        est = build(m, clf, T, tol=config.partition_tol)
+        est = build(m, clf, T)
         retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, est.partition))
         forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, est.partition))
         records.append(
@@ -422,7 +411,7 @@ def soundness_reports_for_classifier(
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta_up=delta_up, pf_inf=pf_inf)
 
-    est = build(m, clf, 1.0, tol=config.partition_tol)
+    est = build(m, clf, 1.0)
     ret = retain_error(est, m, config.n_mc, rng)
     fog = forget_error(est, m, config.n_mc, rng)
 
@@ -462,7 +451,7 @@ def soundness_reports_for_classifier(
 
     if tempered_t is not None:
         t_val = float(tempered_t)
-        est_t = build(m, clf, t_val, tol=config.partition_tol)
+        est_t = build(m, clf, t_val)
         ret_t = retain_error(est_t, m, config.n_mc, rng)
         fog_t = forget_error(est_t, m, config.n_mc, rng)
         t_inputs = dict(inputs, T=t_val)
@@ -535,7 +524,7 @@ def run_soundness_sweep(
         delta = float(10.0 ** rng.uniform(-4.0, -1.0))
         m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
         wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
-        est = build(m, wit, 1.0, tol=config.partition_tol)
+        est = build(m, wit, 1.0)
         fog = forget_error(est, m, config.n_mc, rng)
         lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
         reports.append(

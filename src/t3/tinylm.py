@@ -79,14 +79,6 @@ class TinyCorpus:
             out.append(qa.question + qa.paraphrase)
         return out
 
-    @property
-    def retain_docs(self) -> list[Tokens]:
-        return self.docs("retain")
-
-    @property
-    def forget_docs(self) -> list[Tokens]:
-        return self.docs("forget")
-
     def all_docs(self) -> list[Tokens]:
         out = []
         for split in SPLITS:
@@ -240,15 +232,12 @@ class HeadClassifier:
         logits = self.b @ (self.a @ self.feature(context))
         return sigmoid(logits)
 
-    def frob_norms(self) -> tuple[float, float]:
-        return float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
-
 
 def head_training_stream(corpus: TinyCorpus, order: int) -> list[tuple[Tokens, str, int]]:
     """Per-token (context, target, label) triples: label 1 for retain-doc
     tokens, 0 for forget-doc tokens."""
     stream = []
-    for label, docs in ((1, corpus.retain_docs), (0, corpus.forget_docs)):
+    for label, docs in ((1, corpus.docs("retain")), (0, corpus.docs("forget"))):
         for doc in docs:
             for i, y in enumerate(doc):
                 stream.append((tuple(doc[:i]), y, label))

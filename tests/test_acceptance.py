@@ -30,10 +30,10 @@ from t3 import tinylm as tl
 from t3._kernels import mean_se
 from t3.classifier import (
     LabeledDataset,
+    _objective,
     bayes_classifier,
     estimate_excess_risk,
     quadratic_features,
-    reg_loss_and_grad,
     train,
     witness_classifier,
 )
@@ -57,6 +57,12 @@ FP_GUARD = 1e-9  # witness-instance MC terms are constant; allow fp dust
 
 def _report(name: str, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {detail}")
+
+
+def _argmin_forget_t(table, group_value) -> float:
+    """The temperature of the smallest mean forget error in one group."""
+    ts, means, _ = table.mean_curve(group_value, "forget")
+    return ts[int(np.argmin(means))]
 
 
 def _trial_curves(table, group_value, metric: str) -> tuple[list[float], np.ndarray]:
@@ -147,19 +153,16 @@ class TestC2OracleRecovery:
 class TestC3Gradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(derive_seed(1234, 203))
-        z = rng.normal(size=300)
+        X = quadratic_features(rng.normal(size=300))
         s = (rng.random(300) < 0.8).astype(int)
         h = 1e-5
         worst = 0.0
         for _ in range(20):
             w = rng.normal(size=3)
-            _, g = reg_loss_and_grad(w, z, s, 1e-3)
+            _, g, _ = _objective(w, X, s, 1e-3)
             fd = np.array(
                 [
-                    (
-                        reg_loss_and_grad(w + h * e, z, s, 1e-3)[0]
-                        - reg_loss_and_grad(w - h * e, z, s, 1e-3)[0]
-                    )
+                    (_objective(w + h * e, X, s, 1e-3)[0] - _objective(w - h * e, X, s, 1e-3)[0])
                     / (2 * h)
                     for e in np.eye(3)
                 ]
@@ -204,7 +207,7 @@ class TestC5SharpnessSweep:
             _report("C5a", f"strictly decreasing forget means {[round(p, 4) for p in probe]}")
 
     def test_flat_forget_component_prefers_no_tempering(self, exp1_table):
-        am = exp1_table.argmin_forget_t(1.0)
+        am = _argmin_forget_t(exp1_table, 1.0)
         assert am == 1.0, f"argmin_T at v_f=1 is {am}"
         _report("C5b", "forget error minimized at T=1.0 for the flat forget component")
 
@@ -250,12 +253,12 @@ class TestC5SharpnessSweep:
 
 class TestC6SampleSizeSweep:
     def test_small_n_needs_tempering(self, exp2_table):
-        am = exp2_table.argmin_forget_t(25)
+        am = _argmin_forget_t(exp2_table, 25)
         assert am > 1.0, f"argmin_T at n=25 is {am}"
         _report("C6a", f"argmin_T = {am} at n=25 (tempering required)")
 
     def test_argmin_sequence_nonincreasing(self, exp2_table, config):
-        seq = [exp2_table.argmin_forget_t(n) for n in config.n_grid]
+        seq = [_argmin_forget_t(exp2_table, n) for n in config.n_grid]
         assert all(seq[i + 1] <= seq[i] for i in range(len(seq) - 1)), seq
         _report("C6b", f"argmin_T sequence over n: {seq}")
 
@@ -270,7 +273,7 @@ class TestC6SampleSizeSweep:
         # cut the search short: a paired probe over lambda in {0, ..., 1e-6}
         # puts the minimum population risk at 1e-8 (0.07667, against
         # 0.07865 at 1e-9 and 0.07883 at 1e-7).
-        am = exp2_table.argmin_forget_t(400)
+        am = _argmin_forget_t(exp2_table, 400)
         ts, curves = _trial_curves(exp2_table, 400, "forget")
         diff = curves[:, ts.index(am)] - curves[:, ts.index(1.0)]
         later = np.mean(np.array(ts)[np.argmin(curves, axis=1)] > 1.0)

@@ -12,13 +12,14 @@ from t3.classifier import (
     PiecewiseClassifier,
     QuadClassifier,
     TrainingError,
+    _objective,
     _train,
     bayes_classifier,
+    cross_entropy_terms,
     estimate_excess_risk,
     imbalance_corrected_tilt,
     indicator_classifier,
-    loss,
-    reg_loss_and_grad,
+    quadratic_features,
     train,
     witness_classifier,
 )
@@ -89,15 +90,14 @@ class TestTrain:
 
 class TestLoss:
     def test_perfect_classifier_near_zero(self):
-        d = LabeledDataset(z=np.array([-2.0, 2.0]), s=np.array([0, 1]), source_gamma=0.5)
         clf = QuadClassifier(weights=np.array([0.0, 100.0, 0.0]))
-        assert loss(clf, d) <= 1e-11
+        assert np.mean(cross_entropy_terms(clf, np.array([-2.0, 2.0]), np.array([0, 1]))) <= 1e-11
 
     def test_constant_half_is_ln2(self):
         rng = np.random.default_rng(1)
-        d = LabeledDataset(z=rng.normal(size=50), s=(rng.random(50) < 0.3).astype(int), source_gamma=0.7)
+        z, s = rng.normal(size=50), (rng.random(50) < 0.3).astype(int)
         clf = QuadClassifier(weights=np.zeros(3))
-        np.testing.assert_allclose(loss(clf, d), math.log(2.0), rtol=1e-14)
+        np.testing.assert_allclose(np.mean(cross_entropy_terms(clf, z, s)), math.log(2.0), rtol=1e-14)
 
     def test_matches_hand_rolled_sum(self):
         z = np.array([-1.0, 0.0, 0.5, 1.5, 3.0])
@@ -108,25 +108,27 @@ class TestLoss:
         for zi, si in zip(z, s):
             p = 1.0 / (1.0 + math.exp(-(w[0] + w[1] * zi + w[2] * zi * zi)))
             total += -si * math.log(p) - (1 - si) * math.log(1 - p)
-        d = LabeledDataset(z=z, s=s, source_gamma=0.5)
-        np.testing.assert_allclose(loss(clf, d), total / 5.0, rtol=1e-14)
+        np.testing.assert_allclose(np.mean(cross_entropy_terms(clf, z, s)), total / 5.0, rtol=1e-14)
+        # the training objective: the same mean plus lam*|w|^2
         np.testing.assert_allclose(
-            loss(clf, d, regularized=True), total / 5.0 + 0.05 * float(w @ w), rtol=1e-14
+            _objective(w, quadratic_features(z), s, 0.05)[0],
+            total / 5.0 + 0.05 * float(w @ w),
+            rtol=1e-14,
         )
 
 
 class TestGradient:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(2)
-        z = rng.normal(size=200)
+        X = quadratic_features(rng.normal(size=200))
         s = (rng.random(200) < 0.8).astype(int)
         h = 1e-5
         for _ in range(20):
             w = rng.normal(size=3)
-            _, g = reg_loss_and_grad(w, z, s, 1e-3)
+            _, g, _ = _objective(w, X, s, 1e-3)
             fd = np.array(
                 [
-                    (reg_loss_and_grad(w + h * e, z, s, 1e-3)[0] - reg_loss_and_grad(w - h * e, z, s, 1e-3)[0])
+                    (_objective(w + h * e, X, s, 1e-3)[0] - _objective(w - h * e, X, s, 1e-3)[0])
                     / (2 * h)
                     for e in np.eye(3)
                 ]

@@ -1,14 +1,12 @@
-"""The ``t3 check`` and ``t3 verify-lb`` commands and the sweep options,
-run in-process."""
+"""The ``t3 verify-lb`` command, argument validation and the documented
+command list, run in-process."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from t3 import cli
-
-
-def test_check_passes(capsys):
-    assert cli.main(["check"]) == 0
-    assert "11/11 checks passed" in capsys.readouterr().out
 
 
 def test_verify_lb_equality_instance(capsys):
@@ -16,11 +14,55 @@ def test_verify_lb_equality_instance(capsys):
     assert "equality instance: OK" in capsys.readouterr().out
 
 
+def _assert_rejected(capsys, tmp_path, command, option, value, reason):
+    """Argparse exits with code 2 and names the option before any output."""
+    if command == "tinylm":
+        out = ["--write-demo", str(tmp_path / "corpus.tsv")]
+    else:
+        out = ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, *out, option, value])
+    assert info.value.code == 2
+    assert f"argument {option}: {reason}, got '{value}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["sweep-vf", "sweep-n"])
 @pytest.mark.parametrize("workers", ["0", "-2", "two"])
 def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers):
-    with pytest.raises(SystemExit) as info:
-        cli.main([command, "--out", str(tmp_path), "--workers", workers])
-    assert info.value.code == 2
-    assert f"argument --workers: must be an integer >= 1, got '{workers}'" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    _assert_rejected(capsys, tmp_path, command, "--workers", workers, "must be an integer >= 1")
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("sweep-vf", "--trials", "0"),
+        ("sweep-n", "--trials", "-1"),
+        ("bounds", "--trials", "0"),
+        ("bounds", "--classifiers", "-3"),
+        ("bounds", "--classifiers", "0"),
+        ("bounds", "--tempered-t", "0.5"),
+        ("bounds", "--tempered-t", "nan"),
+        ("bounds", "--tempered-t", "inf"),
+        ("tinylm", "--temperature", "0.5"),
+        ("tinylm", "--temperature", "nan"),
+        ("tinylm", "--temperature", "two"),
+    ],
+)
+def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value):
+    if option in ("--tempered-t", "--temperature"):
+        reason = "must be a finite temperature >= 1"
+    else:
+        reason = "must be an integer >= 1"
+    _assert_rejected(capsys, tmp_path, command, option, value, reason)
+
+
+def test_documented_commands_match_the_parser(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    in_docstring = re.findall(r"^\s+t3 ([\w-]+)", cli.__doc__, re.M)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    in_readme = re.findall(r"^t3 ([\w-]+)", block, re.M)
+    assert choices == in_docstring == in_readme

@@ -88,7 +88,7 @@ class TestSeeding:
         assert (d_hat, d_se) == (rec.delta_hat, rec.delta_se)
 
         # run_trial draws its retain sample, then its forget sample
-        est = build(m, clf, 1.7, tol=cfg.partition_tol)
+        est = build(m, clf, 1.7)
         ret = retain_error(est, m, cfg.n_mc, rng)
         fog = forget_error(est, m, cfg.n_mc, rng)
         assert (ret.value, ret.std_err) == (rec.retain_err, rec.retain_se)
@@ -172,7 +172,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "bad",
         [{"t_grid": (1.0, float("nan"))}, {"t_grid": (float("inf"),)}, {"n_mc": 1},
-         {"n_mc_risk": 1}, {"lambda_search_trials": 0}, {"lambda_grid": ()}],
+         {"n_mc_risk": 1}, {"lambda_search_trials": 0}, {"lambda_grid": ()}, {"t_grid": ()},
+         {"v_f_grid": ()}, {"n_grid": ()}, {"gamma": 1.5}, {"v_f_grid": (1e-3, 0.0)},
+         {"v_f": -1.0}],
     )
     def test_rejects_out_of_domain_fields(self, bad):
         with pytest.raises(ValueError):
@@ -210,7 +212,11 @@ class TestSweepTable:
         ts, means, ses = table.mean_curve(1.0, "forget")
         assert ts == [1.0, 2.0, 3.0]
         assert len(means) == 3 and all(s >= 0 for s in ses)
-        assert table.argmin_forget_t(1.0) in ts
+        cells = [[r.forget_err for r in table.records if r.v_f == 1.0 and r.T == t] for t in ts]
+        assert means == [float(np.mean(errs)) for errs in cells]
+        # one trial has no spread to report
+        one = SweepTable(sweep_key="v_f", records=table.records[:1])
+        assert one.mean_curve(1e-3, "retain") == ([1.0], [table.records[0].retain_err], [0.0])
 
 
 class TestEmit:
