@@ -111,15 +111,6 @@ def lemma2_partition_lower_bound(m: Mixture, delta: float, T: float) -> float:
     )
 
 
-def bias_coefficient_a(m: Mixture, T: float) -> float:
-    """A(T, gamma) = (1-g)^((T+1)/T) exp(((T-1)/T) H(p_r) + g ln g / (1-g)),
-    the delta-free partition lower bound used by the tempered forget bound."""
-    g = m.gamma
-    return (1.0 - g) ** ((T + 1.0) / T) * math.exp(
-        (T - 1.0) / T * m.retain.entropy() + g * math.log(g) / (1.0 - g)
-    )
-
-
 def default_tau_grid(T: float) -> np.ndarray:
     return np.linspace(1.0, T, DEFAULT_TAU_POINTS) if T > 1.0 else np.array([1.0])
 
@@ -185,7 +176,8 @@ def thm4_forget_bound(
         + ||p_f||_inf^(1/T) (int p^((k-T)/(T(k-1))))^((k-1)/k)
               * (delta/2)^(1/(2k)) / (A(T, gamma)^2 exp(-delta/(1-gamma)))
 
-    with k >= T controlling the integrability tradeoff (default max(T, 2)).
+    with k >= T controlling the integrability tradeoff (default max(T, 2))
+    and A(T, gamma) the lemma 2 partition lower bound at delta = 0.
     """
     if not 1.0 <= T < math.inf:
         raise ValueError(f"temperature T must lie in [1, inf), got {T}")
@@ -198,7 +190,7 @@ def thm4_forget_bound(
 
     g = m.gamma
     pf_inf = m.forget.peak_density()
-    a_coef = bias_coefficient_a(m, T)
+    a_coef = lemma2_partition_lower_bound(m, 0.0, T)
     half_delta = delta / 2.0
     term2 = pf_inf ** (1.0 / T) * half_delta ** (1.0 / (2.0 * T)) / a_coef
 

@@ -31,14 +31,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _temperature(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 1.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite temperature >= 1, got {text!r}")
-    return value
+def _float_type(what: str, ok):
+    """An argparse type that accepts a float for which ``ok`` holds and
+    otherwise says it must be ``what``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_temperature = _float_type("a finite temperature >= 1", lambda x: 1.0 <= x < math.inf)
+_positive_float = _float_type("a finite number > 0", lambda x: 0.0 < x < math.inf)
+_nonnegative_float = _float_type("a finite number >= 0", lambda x: 0.0 <= x < math.inf)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -75,7 +86,7 @@ def _cmd_sweep(run_experiment, prefix: str, args) -> int:
 def _cmd_bounds(args) -> int:
     import os
 
-    config = _load_config(args)
+    config = load_config(args.config)
     reports = run_soundness_sweep(
         config, n_classifiers=args.classifiers, tempered_t=args.tempered_t
     )
@@ -182,7 +193,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("bounds", help="train classifiers and check every bound")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--classifiers", type=_positive_int, default=50)
     p.add_argument(
         "--tempered-t",
@@ -201,11 +211,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("tinylm", help="run the tabular-LM unlearning demo")
     p.add_argument("--corpus", default=None, help="corpus TSV path")
     p.add_argument("--temperature", type=_temperature, default=2.0)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--smoothing", type=float, default=1e-3)
-    p.add_argument("--head-lambda", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--order", type=int, choices=(1, 2), default=2)
+    p.add_argument("--smoothing", type=_positive_float, default=1e-3)
+    p.add_argument("--head-lambda", type=_nonnegative_float, default=1e-4)
+    p.add_argument("--epochs", type=_positive_int, default=100)
+    p.add_argument("--hidden", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--write-demo", default=None, help="write the built-in demo corpus here")
     p.set_defaults(func=_cmd_tinylm)

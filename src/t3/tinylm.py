@@ -2,12 +2,14 @@
 
 The pieces mirror the token-level unlearning recipe at the smallest scale
 that still exercises it end to end: a frozen count-based conditional table
-stands in for the pretrained model, a low-rank sigmoid head over pooled
-one-hot context features plays the tilt classifier, and inference reweights
-the tempered next-token distribution by the head's per-token scores.  The
-metric stack (truth ratio, KS-based forget quality, ROUGE-L recall,
-length-normalized probability, harmonic-mean utilities) scores the result
-against a retain-only retrained reference.
+stands in for the pretrained model, a low-rank sigmoid head plays the tilt
+classifier, and inference reweights the tempered next-token distribution by
+the head's per-token scores.  ``TabularLM._ctx_ids`` turns a context into the
+base model's BOS-padded ids; the table looks its row up by them and the head,
+which holds only its two weight matrices, scores their pooled one-hot
+``feature``.  The metric stack (truth ratio, KS-based forget quality, ROUGE-L
+recall, length-normalized probability, harmonic-mean utilities) scores the
+result against a retain-only retrained reference.
 
 Corpus file format: one document per line,
 ``split<TAB>question<TAB>answer<TAB>paraphrase<TAB>pert1|pert2|...``
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,67 +75,52 @@ class TinyCorpus:
     def docs(self, split: str) -> list[Tokens]:
         """Training documents for a split: question+answer and
         question+paraphrase for every pair."""
-        out = []
-        for qa in self.pairs(split):
-            out.append(qa.question + qa.answer)
-            out.append(qa.question + qa.paraphrase)
-        return out
+        return [qa.question + doc for qa in self.pairs(split) for doc in (qa.answer, qa.paraphrase)]
 
     def all_docs(self) -> list[Tokens]:
-        out = []
-        for split in SPLITS:
-            out.extend(self.docs(split))
-        return out
+        return [doc for split in SPLITS for doc in self.docs(split)]
 
 
 def save_corpus(corpus: TinyCorpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for split in SPLITS:
             for qa in corpus.pairs(split):
-                fh.write(
-                    "\t".join(
-                        (
-                            split,
-                            " ".join(qa.question),
-                            " ".join(qa.answer),
-                            " ".join(qa.paraphrase),
-                            "|".join(" ".join(p) for p in qa.perturbed),
-                        )
-                    )
-                    + "\n"
-                )
+                fields = [" ".join(seq) for seq in (qa.question, qa.answer, qa.paraphrase)]
+                perturbed = "|".join(" ".join(p) for p in qa.perturbed)
+                fh.write("\t".join([split, *fields, perturbed]) + "\n")
+
+
+def _corpus(items: Iterable[tuple[str, QAPair]]) -> TinyCorpus:
+    """A corpus from (split, pair) items; the vocab lists every token in the
+    order the items first use it."""
+    splits: Dict[str, list[QAPair]] = {}
+    vocab: Dict[str, None] = {}
+    for split, qa in items:
+        splits.setdefault(split, []).append(qa)
+        for seq in (qa.question, qa.answer, qa.paraphrase, *qa.perturbed):
+            vocab.update(dict.fromkeys(seq))
+    return TinyCorpus(vocab=tuple(vocab), splits={k: tuple(v) for k, v in splits.items()})
 
 
 def load_corpus(path) -> TinyCorpus:
-    splits: Dict[str, list[QAPair]] = {}
-    vocab: list[str] = []
-    seen: set[str] = set()
+    def items() -> Iterator[tuple[str, QAPair]]:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 5:
+                    raise ValueError(f"{path}:{line_no}: expected 5 tab-separated fields")
+                split, q, a, para, perts = parts
+                yield split, QAPair(
+                    question=tuple(q.split()),
+                    answer=tuple(a.split()),
+                    paraphrase=tuple(para.split()),
+                    perturbed=tuple(tuple(p.split()) for p in perts.split("|")),
+                )
 
-    def note(tokens: Iterable[str]):
-        for t in tokens:
-            if t not in seen:
-                seen.add(t)
-                vocab.append(t)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{line_no}: expected 5 tab-separated fields")
-            split, q, a, para, perts = parts
-            qa = QAPair(
-                question=tuple(q.split()),
-                answer=tuple(a.split()),
-                paraphrase=tuple(para.split()),
-                perturbed=tuple(tuple(p.split()) for p in perts.split("|")),
-            )
-            for seq in (qa.question, qa.answer, qa.paraphrase, *qa.perturbed):
-                note(seq)
-            splits.setdefault(split, []).append(qa)
-    return TinyCorpus(vocab=tuple(vocab), splits={k: tuple(v) for k, v in splits.items()})
+    return _corpus(items())
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +134,8 @@ class TabularLM:
     def __init__(self, vocab: Tokens, order: int, smoothing: float):
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        if smoothing <= 0.0:
-            raise ValueError("smoothing must be > 0")
+        if not 0.0 < smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
         self.vocab = tuple(vocab)
         self.order = order
         self.smoothing = float(smoothing)
@@ -156,9 +143,9 @@ class TabularLM:
         self._counts: Dict[tuple[int, ...], np.ndarray] = {}
 
     def _ctx_ids(self, context: Sequence[str]) -> tuple[int, ...]:
+        """The ids of the last ``order`` context tokens, left-padded with BOS."""
         ids = [self.token_id[t] for t in context]
-        padded = [BOS] * max(0, self.order - len(ids)) + ids[-self.order :]
-        return tuple(padded)
+        return tuple([BOS] * max(0, self.order - len(ids)) + ids[-self.order :])
 
     def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed conditional row; sums to 1 up to rounding."""
@@ -182,13 +169,11 @@ def fit_lm(docs: Sequence[Sequence[str]], order: int, smoothing: float, vocab: T
     lm = TabularLM(vocab, order, smoothing)
     v = len(vocab)
     for doc in docs:
-        ids = [lm.token_id[t] for t in doc]
-        for i, y in enumerate(ids):
-            ctx = [BOS] * max(0, order - i) + ids[max(0, i - order) : i]
-            key = tuple(ctx)
+        for i, y in enumerate(doc):
+            key = lm._ctx_ids(doc[:i])
             if key not in lm._counts:
                 lm._counts[key] = np.zeros(v)
-            lm._counts[key][y] += 1.0
+            lm._counts[key][lm.token_id[y]] += 1.0
     return lm
 
 
@@ -196,41 +181,30 @@ def fit_lm(docs: Sequence[Sequence[str]], order: int, smoothing: float, vocab: T
 # the tilt head
 # ---------------------------------------------------------------------------
 
-class HeadClassifier:
-    """Low-rank sigmoid head g(x) = sigmoid(B @ A @ pool(x)) over pooled
-    one-hot context features (d = |V| * order, one block per position,
-    scaled 1/order)."""
+def feature(ctx_ids: Sequence[int], v: int) -> np.ndarray:
+    """Pooled one-hot encoding of padded context ids: one |V| block per
+    position, each scaled 1/order; BOS positions stay zero."""
+    order = len(ctx_ids)
+    out = np.zeros(v * order)
+    for j, tid in enumerate(ctx_ids):
+        if tid != BOS:
+            out[j * v + tid] = 1.0 / order
+    return out
 
-    def __init__(self, vocab: Tokens, order: int, a: np.ndarray, b: np.ndarray):
-        v = len(vocab)
-        d = v * order
-        if a.shape[1] != d or b.shape != (v, a.shape[0]):
-            raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}, d={d}, |V|={v}")
-        self.vocab = tuple(vocab)
-        self.order = order
-        self.token_id = {t: i for i, t in enumerate(self.vocab)}
+
+class HeadClassifier:
+    """Low-rank sigmoid head g(x) = sigmoid(B @ A @ feature(x)) with A of
+    shape (hidden, |V| * order) and B of shape (|V|, hidden)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        if a.ndim != 2 or b.ndim != 2 or b.shape[1] != a.shape[0] or a.shape[1] % len(b):
+            raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}")
         self.a = a
         self.b = b
 
-    @classmethod
-    def zero(cls, vocab: Tokens, order: int, hidden: int) -> "HeadClassifier":
-        v = len(vocab)
-        return cls(vocab, order, np.zeros((hidden, v * order)), np.zeros((v, hidden)))
-
-    def feature(self, context: Sequence[str]) -> np.ndarray:
-        ids = [self.token_id[t] for t in context]
-        padded = [BOS] * max(0, self.order - len(ids)) + ids[-self.order :]
-        v = len(self.vocab)
-        out = np.zeros(v * self.order)
-        for j, tid in enumerate(padded):
-            if tid != BOS:
-                out[j * v + tid] = 1.0 / self.order
-        return out
-
-    def scores(self, context: Sequence[str]) -> np.ndarray:
+    def scores(self, ctx_ids: Sequence[int]) -> np.ndarray:
         """g(x): per-token retain probabilities in (0, 1)^|V|."""
-        logits = self.b @ (self.a @ self.feature(context))
-        return sigmoid(logits)
+        return sigmoid(self.b @ (self.a @ feature(ctx_ids, len(self.b))))
 
 
 def head_training_stream(corpus: TinyCorpus, order: int) -> list[tuple[Tokens, str, int]]:
@@ -255,14 +229,16 @@ def train_head(
     """Fit the low-rank head by full-batch gradient descent with Armijo
     backtracking on mean cross-entropy of the scalar [g(x)]_y plus
     lam * (|A|_F^2 + |B|_F^2).  Features are encoded once and cached."""
+    if hidden < 1 or epochs < 1:
+        raise ValueError(f"hidden and epochs must be >= 1, got {hidden} and {epochs}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     rng = rng or np.random.default_rng(0)
-    head = HeadClassifier.zero(lm.vocab, lm.order, hidden)
     v = len(lm.vocab)
-    d = v * lm.order
-    a = rng.normal(0.0, 0.3, size=(hidden, d))
+    a = rng.normal(0.0, 0.3, size=(hidden, v * lm.order))
     b = rng.normal(0.0, 0.3, size=(v, hidden))
 
-    feats = np.stack([head.feature(ctx) for ctx, _, _ in stream])
+    feats = np.stack([feature(lm._ctx_ids(ctx), v) for ctx, _, _ in stream])
     y_idx = np.array([lm.token_id[y] for _, y, _ in stream])
     s = np.array([float(lbl) for _, _, lbl in stream])
     n = len(stream)
@@ -301,7 +277,7 @@ def train_head(
             step *= 0.5
         if not accepted:
             break
-    return HeadClassifier(lm.vocab, lm.order, a, b)
+    return HeadClassifier(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +285,10 @@ def train_head(
 # ---------------------------------------------------------------------------
 
 def tilted_next_token(
-    lm: TabularLM, head: Optional[HeadClassifier], context: Sequence[str], T: float
+    lm: TabularLM, head: HeadClassifier, context: Sequence[str], T: float
 ) -> np.ndarray:
     """Next-token distribution proportional to P(y|x)^(1/T) * g(x)_y with the
-    head clamped to [1e-12, 1].  head=None means an all-ones tilt.
+    head clamped to [1e-12, 1].
 
     T == 1 multiplies the raw row directly (no pow), so a constant head
     cancels exactly in the renormalization and the output reproduces the
@@ -320,27 +296,11 @@ def tilted_next_token(
     """
     if not 1.0 <= T < math.inf:
         raise ValueError(f"temperature T must lie in [1, inf), got {T}")
-    row = lm._row(lm._ctx_ids(context))
-    if head is not None:
-        g = np.clip(head.scores(context), HEAD_CLAMP, 1.0)
-        w = row * g if T == 1.0 else row ** (1.0 / T) * g
-    else:
-        w = row if T == 1.0 else row ** (1.0 / T)
+    ids = lm._ctx_ids(context)
+    row = lm._row(ids)
+    g = np.clip(head.scores(ids), HEAD_CLAMP, 1.0)
+    w = row * g if T == 1.0 else row ** (1.0 / T) * g
     return w / w.sum()
-
-
-NextTokenModel = Callable[[Sequence[str]], np.ndarray]
-
-
-def base_model(lm: TabularLM) -> NextTokenModel:
-    return lm.next_dist
-
-
-def tilted_model(lm: TabularLM, head: Optional[HeadClassifier], T: float) -> NextTokenModel:
-    def model(context: Sequence[str]) -> np.ndarray:
-        return tilted_next_token(lm, head, context, T)
-
-    return model
 
 
 @dataclass(frozen=True)
@@ -348,7 +308,7 @@ class ModelView:
     """A next-token model plus the vocab indexing its output vector."""
 
     vocab: Tokens
-    next_dist: NextTokenModel
+    next_dist: Callable[[Sequence[str]], np.ndarray]
     token_id: Dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -499,9 +459,9 @@ def unlearning_report(
 ) -> dict:
     """Full metric table for the tilted model against the base model and the
     retain-only retrained reference."""
-    tilted = ModelView(lm.vocab, tilted_model(lm, head, T))
-    base = ModelView(lm.vocab, base_model(lm))
-    reference = ModelView(reference_lm.vocab, base_model(reference_lm))
+    tilted = ModelView(lm.vocab, lambda context: tilted_next_token(lm, head, context, T))
+    base = ModelView(lm.vocab, lm.next_dist)
+    reference = ModelView(reference_lm.vocab, reference_lm.next_dist)
 
     per_split = {}
     for split in ("retain", "ra", "wf"):
@@ -575,13 +535,12 @@ _RA_ANSWERS = {
 _WF_ANSWERS = {"sky": "blue", "sea": "green", "moor": "gold", "dawn": "red"}
 
 
-def _qa(question: Tokens, answer_token: str, pool: Sequence[str]) -> QAPair:
-    perturbed = tuple((p,) for p in pool if p != answer_token)
+def _qa(template: Tokens, subject: str, answer_token: str, pool: Sequence[str]) -> QAPair:
     return QAPair(
-        question=question,
+        question=tuple(t.format(a=subject) for t in template),
         answer=(answer_token,),
         paraphrase=(answer_token, "indeed"),
-        perturbed=perturbed,
+        perturbed=tuple((p,) for p in pool if p != answer_token),
     )
 
 
@@ -589,30 +548,19 @@ def demo_corpus() -> TinyCorpus:
     """8 fictional makers (4 retain, 4 forget) with 4 facts each, answers
     token-disjoint between the retain and forget sides, plus small held-out
     analogue splits; fully deterministic."""
-    splits: Dict[str, list[QAPair]] = {s: [] for s in SPLITS}
-    for split, authors, answers in (
-        ("retain", _RETAIN_AUTHORS, _RETAIN_ANSWERS),
-        ("forget", _FORGET_AUTHORS, _FORGET_ANSWERS),
-    ):
-        for ai, author in enumerate(authors):
-            for slot, template in _SLOTS:
-                q = tuple(t.format(a=author) for t in template)
-                splits[split].append(_qa(q, answers[slot][ai], answers[slot]))
-    for author in _RA_AUTHORS:
-        for slot, template in _SLOTS:
-            q = tuple(t.format(a=author) for t in template)
-            splits["ra"].append(_qa(q, _RA_ANSWERS[author][slot], _RETAIN_ANSWERS[slot]))
-    for subject in _WF_SUBJECTS:
-        q = tuple(t.format(a=subject) for t in _SLOTS[3][1])
-        splits["wf"].append(_qa(q, _WF_ANSWERS[subject], _RETAIN_ANSWERS["hue"]))
 
-    vocab: list[str] = []
-    seen: set[str] = set()
-    for split in SPLITS:
-        for qa in splits[split]:
-            for seq in (qa.question, qa.answer, qa.paraphrase, *qa.perturbed):
-                for t in seq:
-                    if t not in seen:
-                        seen.add(t)
-                        vocab.append(t)
-    return TinyCorpus(vocab=tuple(vocab), splits={k: tuple(v) for k, v in splits.items()})
+    def items() -> Iterator[tuple[str, QAPair]]:
+        for split, authors, answers in (
+            ("retain", _RETAIN_AUTHORS, _RETAIN_ANSWERS),
+            ("forget", _FORGET_AUTHORS, _FORGET_ANSWERS),
+        ):
+            for ai, author in enumerate(authors):
+                for slot, template in _SLOTS:
+                    yield split, _qa(template, author, answers[slot][ai], answers[slot])
+        for author in _RA_AUTHORS:
+            for slot, template in _SLOTS:
+                yield "ra", _qa(template, author, _RA_ANSWERS[author][slot], _RETAIN_ANSWERS[slot])
+        for subject in _WF_SUBJECTS:
+            yield "wf", _qa(_SLOTS[3][1], subject, _WF_ANSWERS[subject], _RETAIN_ANSWERS["hue"])
+
+    return _corpus(items())

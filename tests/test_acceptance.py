@@ -390,7 +390,8 @@ class TestC9TinyLM:
 
     def test_constant_tilt_identity_bit_level(self, fitted):
         corpus, lm, _ = fitted
-        zero = tl.HeadClassifier.zero(corpus.vocab, 2, 16)
+        v = len(corpus.vocab)
+        zero = tl.HeadClassifier(np.zeros((16, 2 * v)), np.zeros((v, 16)))
         for qa in corpus.pairs("retain"):
             out = tl.tilted_next_token(lm, zero, qa.question, 1.0)
             assert np.array_equal(out, lm.next_dist(qa.question))
@@ -398,8 +399,8 @@ class TestC9TinyLM:
 
     def test_forget_suppression_and_retain_stability(self, fitted):
         corpus, lm, head = fitted
-        base = tl.ModelView(lm.vocab, tl.base_model(lm))
-        tilted = tl.ModelView(lm.vocab, tl.tilted_model(lm, head, 2.0))
+        base = tl.ModelView(lm.vocab, lm.next_dist)
+        tilted = tl.ModelView(lm.vocab, lambda ctx: tl.tilted_next_token(lm, head, ctx, 2.0))
         min_drop = math.inf
         for qa in corpus.pairs("forget"):
             drop = base.lennorm_prob(qa.question, qa.answer) / tilted.lennorm_prob(

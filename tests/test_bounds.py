@@ -100,7 +100,7 @@ class TestLemma2:
 class TestTemperedForgetBound:
     def test_t1_reduces_to_sqrt_delta_order(self):
         val = B.thm4_forget_bound(FLAT, 0.01, 1.0, k=1.0)
-        a = B.bias_coefficient_a(FLAT, 1.0)
+        a = B.lemma2_partition_lower_bound(FLAT, 0.0, 1.0)
         pf = FLAT.forget.peak_density()
         expected = pf * (0.005 ** 0.5) / a + pf * (0.005 ** 0.5) / (a * a * math.exp(-0.01 / 0.9))
         np.testing.assert_allclose(val, expected, rtol=1e-12)

@@ -1,5 +1,5 @@
-"""The ``t3 verify-lb`` command, argument validation and the documented
-command list, run in-process."""
+"""The ``t3 verify-lb`` and ``t3 tinylm`` commands, argument validation and
+the documented command list, run in-process."""
 
 import re
 from pathlib import Path
@@ -14,8 +14,27 @@ def test_verify_lb_equality_instance(capsys):
     assert "equality instance: OK" in capsys.readouterr().out
 
 
-def _assert_rejected(capsys, tmp_path, command, option, value, reason):
-    """Argparse exits with code 2 and names the option before any output."""
+def test_tinylm_reports_on_the_demo_corpus(capsys, tmp_path):
+    path = str(tmp_path / "corpus.tsv")
+    assert cli.main(["tinylm", "--write-demo", path, "--corpus", path]) == 0
+    out = capsys.readouterr().out
+    for line in (
+        "corpus: |V|=57, retain:16, forget:16, ra:8, wf:4",
+        "temperature                 = 2.0",
+        "forget quality (KS p-value) = ",
+        "model utility               = ",
+        "MU-ROUGE                    = 1.0000",
+        "  retain  probability=",
+        "  ra      probability=",
+        "  wf      probability=",
+        "min forget-answer prob reduction = ",
+        "retain greedy decodes unchanged  = 100%",
+    ):
+        assert line in out
+
+
+def _assert_rejected(capsys, tmp_path, command, option, value, message):
+    """Argparse exits with code 2 and prints ``message`` before any output."""
     if command == "tinylm":
         out = ["--write-demo", str(tmp_path / "corpus.tsv")]
     else:
@@ -23,14 +42,15 @@ def _assert_rejected(capsys, tmp_path, command, option, value, reason):
     with pytest.raises(SystemExit) as info:
         cli.main([command, *out, option, value])
     assert info.value.code == 2
-    assert f"argument {option}: {reason}, got '{value}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["sweep-vf", "sweep-n"])
 @pytest.mark.parametrize("workers", ["0", "-2", "two"])
 def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers):
-    _assert_rejected(capsys, tmp_path, command, "--workers", workers, "must be an integer >= 1")
+    message = f"argument --workers: must be an integer >= 1, got '{workers}'"
+    _assert_rejected(capsys, tmp_path, command, "--workers", workers, message)
 
 
 @pytest.mark.parametrize(
@@ -47,14 +67,31 @@ def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers
         ("tinylm", "--temperature", "0.5"),
         ("tinylm", "--temperature", "nan"),
         ("tinylm", "--temperature", "two"),
+        ("tinylm", "--smoothing", "nan"),
+        ("tinylm", "--smoothing", "0"),
+        ("tinylm", "--smoothing", "inf"),
+        ("tinylm", "--head-lambda", "nan"),
+        ("tinylm", "--head-lambda", "-5"),
+        ("tinylm", "--hidden", "0"),
+        ("tinylm", "--epochs", "0"),
+        ("tinylm", "--order", "0"),
+        ("tinylm", "--order", "3"),
     ],
 )
 def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value):
-    if option in ("--tempered-t", "--temperature"):
-        reason = "must be a finite temperature >= 1"
+    reason = {
+        "--tempered-t": "must be a finite temperature >= 1",
+        "--temperature": "must be a finite temperature >= 1",
+        "--smoothing": "must be a finite number > 0",
+        "--head-lambda": "must be a finite number >= 0",
+    }.get(option, "must be an integer >= 1")
+    if (command, option) == ("bounds", "--trials"):  # bounds has no --trials option
+        message = f"unrecognized arguments: --trials {value}"
+    elif option == "--order":
+        message = f"argument --order: invalid choice: {value} (choose from 1, 2)"
     else:
-        reason = "must be an integer >= 1"
-    _assert_rejected(capsys, tmp_path, command, option, value, reason)
+        message = f"argument {option}: {reason}, got '{value}'"
+    _assert_rejected(capsys, tmp_path, command, option, value, message)
 
 
 def test_documented_commands_match_the_parser(capsys):

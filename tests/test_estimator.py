@@ -148,7 +148,8 @@ class TestLemma2Soundness:
 
 def _tilted_next_token(T):
     lm = tl.fit_lm([["a", "b"]], order=1, smoothing=1e-3, vocab=("a", "b"))
-    return tl.tilted_next_token(lm, None, ["a"], T)
+    head = tl.HeadClassifier(np.zeros((1, 2)), np.zeros((2, 1)))
+    return tl.tilted_next_token(lm, head, ["a"], T)
 
 
 TEMPERATURE_ENTRY_POINTS = {

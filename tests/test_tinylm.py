@@ -19,6 +19,10 @@ def lm(corpus):
     return tl.fit_lm(corpus.all_docs(), order=2, smoothing=1e-3, vocab=corpus.vocab)
 
 
+def _zero_head(v, order, hidden):
+    return tl.HeadClassifier(np.zeros((hidden, v * order)), np.zeros((v, hidden)))
+
+
 @pytest.fixture(scope="module")
 def trained_head(corpus, lm):
     stream = tl.head_training_stream(corpus, 2)
@@ -47,7 +51,14 @@ class TestCorpus:
         tl.save_corpus(corpus, path)
         loaded = tl.load_corpus(path)
         assert loaded.splits == corpus.splits
-        assert set(loaded.vocab) == set(corpus.vocab)
+        assert loaded.vocab == corpus.vocab
+
+    def test_load_keeps_first_seen_file_order(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb|z\n", encoding="utf-8")
+        loaded = tl.load_corpus(path)
+        assert loaded.vocab == ("q", "z", "b", "c", "a", "y")
+        assert list(loaded.splits) == ["forget", "retain"]
 
     def test_rejects_oversized_vocab(self):
         vocab = tuple(f"t{i}" for i in range(65))
@@ -78,20 +89,34 @@ class TestFitLM:
             tl.fit_lm([], order=1, smoothing=0.1, vocab=("a",))
 
 
-class TestHead:
-    def test_zero_head_predicts_half(self, corpus):
-        head = tl.HeadClassifier.zero(corpus.vocab, 2, 8)
-        assert np.all(head.scores(("where", "does")) == 0.5)
+def test_rejects_out_of_domain_settings(corpus, lm):
+    for smoothing in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="smoothing"):
+            tl.TabularLM(("a",), 1, smoothing)
+    stream = tl.head_training_stream(corpus, 2)
+    for kwargs, name in (
+        ({"hidden": 0}, "hidden"),
+        ({"epochs": 0}, "epochs"),
+        ({"lam": math.nan}, "lam"),
+        ({"lam": -5.0}, "lam"),
+        ({"lam": math.inf}, "lam"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            tl.train_head(lm, stream, **kwargs)
 
-    def test_feature_dimension_and_scale(self, corpus):
-        head = tl.HeadClassifier.zero(corpus.vocab, 2, 8)
-        f = head.feature(("where", "does"))
+
+class TestHead:
+    def test_zero_head_predicts_half(self, corpus, lm):
+        head = _zero_head(len(corpus.vocab), 2, 8)
+        assert np.all(head.scores(lm._ctx_ids(("where", "does"))) == 0.5)
+
+    def test_feature_dimension_and_scale(self, corpus, lm):
+        f = tl.feature(lm._ctx_ids(("where", "does")), len(corpus.vocab))
         assert f.shape == (len(corpus.vocab) * 2,)
         np.testing.assert_allclose(f.sum(), 1.0)  # two blocks at 1/2 each
 
-    def test_bos_padding_gives_partial_feature(self, corpus):
-        head = tl.HeadClassifier.zero(corpus.vocab, 2, 8)
-        f = head.feature(("where",))
+    def test_bos_padding_gives_partial_feature(self, corpus, lm):
+        f = tl.feature(lm._ctx_ids(("where",)), len(corpus.vocab))
         np.testing.assert_allclose(f.sum(), 0.5)
 
     def test_huge_lambda_shrinks(self, corpus, lm):
@@ -113,15 +138,18 @@ class TestHead:
         head = tl.train_head(lm2, stream, lam=1e-4, epochs=100, rng=np.random.default_rng(1), hidden=8)
         # judged at positions with a nonempty context; the all-BOS feature is
         # identically zero and cannot carry a label
-        forget_preds = [float(head.scores(c)[head.token_id[y]]) for c, y, s in stream if s == 0 and c]
-        retain_preds = [float(head.scores(c)[head.token_id[y]]) for c, y, s in stream if s == 1 and c]
+        def score(c, y):
+            return float(head.scores(lm2._ctx_ids(c))[lm2.token_id[y]])
+
+        forget_preds = [score(c, y) for c, y, s in stream if s == 0 and c]
+        retain_preds = [score(c, y) for c, y, s in stream if s == 1 and c]
         assert max(forget_preds) < 0.1
         assert min(retain_preds) > 0.9
 
 
 class TestTiltedNextToken:
     def test_constant_tilt_t1_identity_bitwise(self, corpus, lm):
-        zero = tl.HeadClassifier.zero(corpus.vocab, 2, 8)
+        zero = _zero_head(len(corpus.vocab), 2, 8)
         for qa in corpus.pairs("retain")[:6]:
             out = tl.tilted_next_token(lm, zero, qa.question, 1.0)
             assert np.array_equal(out, lm.next_dist(qa.question))
@@ -171,9 +199,9 @@ class TestTiltedNextToken:
                 w = tl.tilted_next_token(lm, trained_head, qa.question, T)
                 assert abs(float(w.sum()) - 1.0) <= 1e-12
 
-    def test_rejects_t_below_one(self, corpus, lm):
+    def test_rejects_t_below_one(self, corpus, lm, trained_head):
         with pytest.raises(ValueError):
-            tl.tilted_next_token(lm, None, ("where",), 0.5)
+            tl.tilted_next_token(lm, trained_head, ("where",), 0.5)
 
 
 class TestTruthRatio:
@@ -308,8 +336,8 @@ class TestProbabilityMetric:
 
 class TestUnlearningBehavior:
     def test_forget_answers_suppressed_retain_decodes_stable(self, corpus, lm, trained_head):
-        base = tl.ModelView(lm.vocab, tl.base_model(lm))
-        tilted = tl.ModelView(lm.vocab, tl.tilted_model(lm, trained_head, 2.0))
+        base = tl.ModelView(lm.vocab, lm.next_dist)
+        tilted = tl.ModelView(lm.vocab, lambda ctx: tl.tilted_next_token(lm, trained_head, ctx, 2.0))
         for qa in corpus.pairs("forget"):
             ratio = base.lennorm_prob(qa.question, qa.answer) / tilted.lennorm_prob(
                 qa.question, qa.answer
