@@ -8,7 +8,8 @@ are evaluated on a tau grid and the grid maximum is returned, which keeps
 them valid upper bounds.
 
 All integrals run through the adaptive-Simpson oracle over the tempered
-integration window.  For the auxiliary exponent integral of the tempered
+integration window.  A tau grid integrates as one vector-valued quadrature
+with a row per tau.  For the auxiliary exponent integral of the tempered
 forget bound, k = T drives the exponent to zero and the true integral over
 the real line diverges; the evaluator integrates over the standard window,
 which returns the (finite) window length in that edge case.
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import Mixture, integration_window, quadrature, quadrature_seeds
-from .estimator import tempered_oracle
+from .estimator import oracle_classifier, partitions
 
 DEFAULT_TAU_POINTS = 25
 
@@ -115,37 +116,46 @@ def default_tau_grid(T: float) -> np.ndarray:
     return np.linspace(1.0, T, DEFAULT_TAU_POINTS) if T > 1.0 else np.array([1.0])
 
 
-def _tempering_bias(m: Mixture, T: float, tau: float, quad_tol: float) -> float:
-    """(1 - 1/T) * ||p_f||_{2, p_r^(tau)} * Std_{p_r^(tau)}[ln p] for one tau."""
+def _tempering_bias(m: Mixture, T: float, taus, quad_tol: float) -> np.ndarray:
+    """(1 - 1/T) * ||p_f||_{2, p_r^(tau)} * Std_{p_r^(tau)}[ln p] at every tau
+    of ``taus`` (all in [1, T]).
+
+    The tau-tempered oracle partitions come from one ``partitions`` call, and
+    each of the three tau-moments is one quadrature with a row per tau over
+    the T window, which every tau shares."""
+    taus = np.asarray(taus, dtype=np.float64)
     if T == 1.0:
-        return 0.0
-    oracle = tempered_oracle(m, tau, tol=quad_tol)
-    lo, hi = integration_window(m, max(T, tau))
-    seeds = quadrature_seeds(m, max(T, tau))
+        return np.zeros(taus.size)
+    f_star = oracle_classifier(m)
+    z_tau = partitions(m, f_star, taus, tol=quad_tol)[:, None]
+    lo, hi = integration_window(m, T)
+    seeds = quadrature_seeds(m, T)
+
+    def oracle_rows(z):
+        # the tau-tempered oracle density (one row per tau) and ln p, with
+        # ln p reported as 0 where the density vanishes (off uniform
+        # supports ln p = -inf, and 0 * inf would be NaN)
+        lp = m.log_density(z)
+        d = np.exp(lp / taus[:, None]) * f_star.predict(z) / z_tau
+        return d, np.where(d > 0.0, lp, 0.0)
 
     def wpf2(z):
-        return oracle.density(z) * np.exp(2.0 * m.forget.log_density(z))
-
-    def _masked_logp(z):
-        # the oracle density vanishes off uniform supports where ln p = -inf;
-        # report 0 there instead of 0 * inf
-        d = oracle.density(z)
-        lp = np.where(d > 0.0, m.log_density(z), 0.0)
-        return d, lp
+        return oracle_rows(z)[0] * np.exp(2.0 * m.forget.log_density(z))
 
     def wlogp(z):
-        d, lp = _masked_logp(z)
+        d, lp = oracle_rows(z)
         return d * lp
 
     def wlogp2(z):
-        d, lp = _masked_logp(z)
+        d, lp = oracle_rows(z)
         return d * lp * lp
 
-    pf2 = quadrature(wpf2, lo, hi, tol=quad_tol, breakpoints=seeds)
-    m1 = quadrature(wlogp, lo, hi, tol=quad_tol, breakpoints=seeds)
-    m2 = quadrature(wlogp2, lo, hi, tol=quad_tol, breakpoints=seeds)
-    var = max(m2 - m1 * m1, 0.0)
-    return (1.0 - 1.0 / T) * math.sqrt(max(pf2, 0.0)) * math.sqrt(var)
+    # three calls of len(taus) rows keep each well under MAX_EVALUATIONS
+    pf2, m1, m2 = (
+        quadrature(w, lo, hi, tol=quad_tol, breakpoints=seeds) for w in (wpf2, wlogp, wlogp2)
+    )
+    var = np.maximum(m2 - m1 * m1, 0.0)
+    return (1.0 - 1.0 / T) * np.sqrt(np.maximum(pf2, 0.0)) * np.sqrt(var)
 
 
 def _power_integral(m: Mixture, c: float, quad_tol: float, T_window: float) -> float:
@@ -186,7 +196,7 @@ def thm4_forget_bound(
     if k < T:
         raise ValueError(f"need k >= T, got k={k} < T={T}")
 
-    bias = max(_tempering_bias(m, T, float(tau), quad_tol) for tau in default_tau_grid(T))
+    bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T), quad_tol)))
 
     g = m.gamma
     pf_inf = m.forget.peak_density()
@@ -208,17 +218,19 @@ def thm4_forget_bound(
     return bias + term2 + term3
 
 
-def _unit_density_crossings(m: Mixture, windows: list) -> list[list[float]]:
-    """Roots of ln p(z) inside each (lo, hi) window: the kinks of |ln p(z)|.
-    Found by a sign scan over a 4096-point grid per window, then bisection
-    of every bracketed root of every window at once, each root stopping at
-    its own tolerance."""
-    lo, hi = np.array(windows, dtype=np.float64).T
-    z = np.linspace(lo, hi, 4096, axis=1)
-    lp = m.log_density(z.ravel()).reshape(z.shape)
-    rows, cols = np.nonzero(np.sign(lp[:, :-1]) * np.sign(lp[:, 1:]) < 0)
-    a, b, fa = z[rows, cols], z[rows, cols + 1], lp[rows, cols]
-    live = np.ones(rows.size, dtype=bool)
+def _unit_density_crossings(m: Mixture, lo: float, hi: float, seeds=()) -> list[float]:
+    """Roots of ln p(z) inside (lo, hi): the kinks of |ln p(z)|.
+
+    Found by a sign scan over a 4096-point grid plus the ``seeds`` inside
+    the window, then bisection of every bracketed root at once, each root
+    stopping at its own tolerance.  The seeds matter: a sharp spike's
+    positive-ln p core can be far narrower than the grid step, and its
+    quadrature seeds (core and +-1 stddev) land inside it."""
+    z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
+    lp = m.log_density(z)
+    (cols,) = np.nonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0)
+    a, b, fa = z[cols], z[cols + 1], lp[cols]
+    live = np.ones(cols.size, dtype=bool)
     for _ in range(80):
         if not live.any():
             break
@@ -230,8 +242,7 @@ def _unit_density_crossings(m: Mixture, windows: list) -> list[list[float]]:
         a = np.where(move, mid, a)
         fa = np.where(move, fm, fa)
         live &= ~(b - a < 1e-14 * np.maximum(1.0, np.abs(mid)))
-    roots = 0.5 * (a + b)
-    return [roots[rows == i].tolist() for i in range(len(windows))]
+    return (0.5 * (a + b)).tolist()
 
 
 def thm5_retain_bound(
@@ -246,6 +257,9 @@ def thm5_retain_bound(
             (int p^(1/tau) |ln p|) / lemma2(m, delta, tau) - H(p_r) ]
 
     The bias coefficient vanishes at T = 1, reproducing the untempered bound.
+    The numerators of the whole tau grid are one quadrature with a row per
+    tau, over the widest (tau = T) window, pre-split at the union of the
+    per-tau seeds and at the |ln p| kinks, which are found once.
     """
     if not 1.0 <= T < math.inf:
         raise ValueError(f"temperature T must lie in [1, inf), got {T}")
@@ -253,21 +267,18 @@ def thm5_retain_bound(
     if T == 1.0:
         return base
 
-    h_r = m.retain.entropy()
-    taus = [float(tau) for tau in default_tau_grid(T)]
-    windows = [integration_window(m, tau) for tau in taus]
-    worst = -math.inf
-    for tau, (lo, hi), crossings in zip(taus, windows, _unit_density_crossings(m, windows)):
-        seeds = quadrature_seeds(m, tau) + tuple(crossings)
-        num = quadrature(
-            lambda z: np.exp(m.log_density(z) / tau) * np.abs(m.log_density(z)),
-            lo,
-            hi,
-            tol=quad_tol,
-            breakpoints=seeds,
-        )
-        denom = lemma2_partition_lower_bound(m, delta, tau)
-        worst = max(worst, num / denom - h_r)
+    taus = default_tau_grid(T)
+    lo, hi = integration_window(m, T)
+    seeds = [s for tau in taus for s in quadrature_seeds(m, tau)]
+    seeds += _unit_density_crossings(m, lo, hi, seeds)
+
+    def integrand(z):
+        lp = m.log_density(z)
+        return np.exp(lp / taus[:, None]) * np.abs(lp)
+
+    num = quadrature(integrand, lo, hi, tol=quad_tol, breakpoints=seeds)
+    denom = np.array([lemma2_partition_lower_bound(m, delta, tau) for tau in taus])
+    worst = float(np.max(num / denom - m.retain.entropy()))
     return base + (1.0 - 1.0 / T) * worst
 
 

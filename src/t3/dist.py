@@ -20,11 +20,12 @@ from ._kernels import as_array
 
 WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
-MAX_EVALUATIONS = 1_000_000  # integrand points per quadrature before it gives up
+MAX_EVALUATIONS = 1_000_000  # integrand values (points x rows) per quadrature
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive Simpson hit its depth or evaluation limit without converging."""
+    """Adaptive Simpson hit its depth or evaluation limit without converging,
+    or the integrand returned a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -215,18 +216,25 @@ def quadrature(
     hi: float,
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
-) -> float:
+) -> Union[float, np.ndarray]:
     """Adaptive composite Simpson integral of f over [lo, hi].
 
     ``f`` is evaluated on whole batches of points: it takes a 1-d float64
-    array and returns a float64 array of the same shape.  ``tol`` is the
-    absolute error target.  The interval is pre-split at any
-    ``breakpoints`` lying strictly inside (lo, hi); each piece is then
-    refined adaptively, halving its error budget per split, with Richardson
-    extrapolation of the accepted panels.  Raises :class:`QuadratureError`
-    if any panel is still unconverged after MAX_DEPTH subdivisions, or if
-    the next level would take the integrand points past MAX_EVALUATIONS
-    (the depth limit bounds each panel, this cap the number of open ones).
+    array of n points and returns either a float64 array of shape (n,) or a
+    (k, n) block holding k integrands (rows) at those points.  A 1-d
+    integrand returns a float, a 2-d one a (k,) array of the row integrals.
+    ``tol`` is the absolute error target of every row.  The interval is
+    pre-split at any ``breakpoints`` lying strictly inside (lo, hi); each
+    piece is then refined adaptively, halving its error budget per split,
+    with Richardson extrapolation of the accepted panels.  A panel is
+    accepted only once its error estimate meets the budget in every row, so
+    a one-row block integrates exactly as the same 1-d integrand does.
+
+    Raises :class:`QuadratureError` at the first non-finite integrand value
+    (naming its row and point), if any panel is still unconverged after
+    MAX_DEPTH subdivisions, or if the next level would take the integrand
+    values (points times rows) past MAX_EVALUATIONS (the depth limit bounds
+    each panel, this cap the number of open ones).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -242,41 +250,55 @@ def quadrature(
     b[:-1] = np.nextafter(b[:-1], -np.inf)
     mid = 0.5 * (a + b)
     fa = f(a)
-    fm = f(mid)
-    fb = f(b)
+    vector = np.ndim(fa) == 2
+
+    def block(z, values):
+        # every evaluation as a (k, n) block, checked finite
+        values = np.asarray(values, dtype=np.float64).reshape(-1, z.size)
+        if not np.isfinite(values).all():
+            r, i = np.argwhere(~np.isfinite(values))[0]
+            raise QuadratureError(
+                f"integrand returned {values[r, i]} in row {r} at z={float(z[i])!r}"
+            )
+        return values
+
+    fa = block(a, fa)
+    fm = block(mid, f(mid))
+    fb = block(b, f(b))
+    k = fa.shape[0]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = np.full(n_seg, tol / n_seg)
 
-    total = 0.0
-    evaluations = 3 * n_seg
+    total = np.zeros(k)
+    evaluations = 3 * n_seg * k
     for depth in range(MAX_DEPTH + 1):
-        evaluations += 2 * a.size
+        evaluations += 2 * a.size * k
         if evaluations > MAX_EVALUATIONS:
             raise QuadratureError(
                 f"adaptive Simpson would pass {MAX_EVALUATIONS} integrand evaluations "
-                f"at depth {depth} ({a.size} panels still open, tol={tol})"
+                f"at depth {depth} ({a.size} panels of {k} rows still open, tol={tol})"
             )
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
-        flm = f(lm)
-        frm = f(rm)
+        flm = block(lm, f(lm))
+        frm = block(rm, f(rm))
         left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
         s2 = left + right
         err = (s2 - whole) / 15.0
-        done = np.abs(err) <= budget
-        total += float(np.sum(s2[done] + err[done]))
+        done = (np.abs(err) <= budget).all(axis=0)
+        total += np.sum((s2 + err)[:, done], axis=1)
         if bool(np.all(done)):
-            return total
+            return total if vector else float(total[0])
         keep = ~done
         # split surviving panels into their two halves
         a = np.concatenate([a[keep], mid[keep]])
         b = np.concatenate([mid[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
+        fa = np.concatenate([fa[:, keep], fm[:, keep]], axis=1)
+        fb = np.concatenate([fm[:, keep], fb[:, keep]], axis=1)
         mid = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
+        fm = np.concatenate([flm[:, keep], frm[:, keep]], axis=1)
+        whole = np.concatenate([left[:, keep], right[:, keep]], axis=1)
         budget = np.concatenate([budget[keep] * 0.5, budget[keep] * 0.5])
     raise QuadratureError(
         f"adaptive Simpson did not converge to tol={tol} within {MAX_DEPTH} levels "

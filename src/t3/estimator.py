@@ -6,7 +6,8 @@ the retain density is
     p_hat(z) = p(z)^(1/T) * f(z) / Z,   Z = integral of p^(1/T) * f.
 
 At desk scale Z is computed exactly, by adaptive quadrature over the
-tempered integration window.
+tempered integration window; ``partitions`` integrates a whole temperature
+grid in one vector-valued quadrature.
 """
 
 from __future__ import annotations
@@ -54,19 +55,34 @@ def clamped_log_tilt(clf: Classifier, z) -> np.ndarray:
     return np.maximum(clf.log_predict(z), LOG_CLAMP)
 
 
-def build(m: Mixture, clf: Classifier, T: float, tol: float = 1e-10) -> T3Estimator:
-    """Construct the estimator, computing its partition function Z by
-    quadrature to absolute tolerance ``tol``."""
-    if not 1.0 <= T < math.inf:
-        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+def partitions(m: Mixture, clf: Classifier, temperatures, tol: float = 1e-10) -> np.ndarray:
+    """The partition Z(T) = integral of p^(1/T) f at every temperature, as one
+    vector-valued quadrature to absolute tolerance ``tol`` per row.
+
+    All rows share the widest tempered window and the union of the per-T
+    quadrature seeds, and ln p and f are evaluated once per point; a panel
+    closes only when every row has converged.  ``build`` is the
+    one-temperature case."""
+    temps = np.array([float(T) for T in temperatures])
+    for T in temps:
+        if not 1.0 <= T < math.inf:
+            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
 
     def integrand(z):
-        return np.exp(m.log_density(z) / T) * clf.predict(z)
+        return np.exp(m.log_density(z) / temps[:, None]) * clf.predict(z)
 
-    lo, hi = integration_window(m, T)
-    z_val = quadrature(integrand, lo, hi, tol=tol, breakpoints=quadrature_seeds(m, T))
-    if not z_val > 0.0:
-        raise ValueError(f"partition must be positive, got {z_val}")
+    lo, hi = integration_window(m, temps.max())
+    seeds = [s for T in temps for s in quadrature_seeds(m, T)]
+    z_vals = quadrature(integrand, lo, hi, tol=tol, breakpoints=seeds)
+    if not np.all(z_vals > 0.0):
+        raise ValueError(f"partition must be positive, got {z_vals.min()}")
+    return z_vals
+
+
+def build(m: Mixture, clf: Classifier, T: float, tol: float = 1e-10) -> T3Estimator:
+    """Construct the estimator, computing its partition function Z by
+    quadrature to absolute tolerance ``tol`` (``partitions`` at one T)."""
+    (z_val,) = partitions(m, clf, [T], tol=tol).tolist()
     return T3Estimator(mixture=m, classifier=clf, temperature=float(T), partition=z_val)
 
 

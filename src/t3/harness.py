@@ -35,7 +35,7 @@ from .classifier import (
     witness_classifier,
 )
 from .dist import GaussianComponent, Mixture, UniformComponent
-from .estimator import build, clamped_log_tilt
+from .estimator import build, clamped_log_tilt, partitions
 from .metrics import forget_error, forget_terms, retain_error, retain_terms
 
 SEED_ENV = "T3_SEED"
@@ -289,7 +289,9 @@ def run_trial(
     the temperature grid (common random numbers), so only the tempering
     exponent and the partition change per T.  This matches calling the
     metric functions per T with fresh draws in expectation while making the
-    T-curves of one trial directly comparable.
+    T-curves of one trial directly comparable.  The partitions of the whole
+    grid come from one vector-valued quadrature (``partitions``); the metric
+    terms are still formed one T at a time, so no (T x n_mc) block is held.
 
     A consequence the acceptance suite relies on (clause C5c): with the
     retain draws fixed, the retain error at beta = 1/T is affine in beta
@@ -311,10 +313,9 @@ def run_trial(
     forget_draws = (np.exp(m.retain.log_density(z_f)), m.log_density(z_f), clf.predict(z_f))
 
     records = []
-    for T in config.t_grid:
-        est = build(m, clf, T)
-        retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, est.partition))
-        forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, est.partition))
+    for T, z_val in zip(config.t_grid, partitions(m, clf, config.t_grid).tolist()):
+        retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, z_val))
+        forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, z_val))
         records.append(
             TrialRecord(
                 seed=seed,

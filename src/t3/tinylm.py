@@ -92,14 +92,19 @@ def save_corpus(corpus: TinyCorpus, path) -> None:
 
 def _corpus(items: Iterable[tuple[str, QAPair]]) -> TinyCorpus:
     """A corpus from (split, pair) items; the vocab lists every token in the
-    order the items first use it."""
+    order the items first use it.  Every split of SPLITS must have a pair,
+    since the unlearning report evaluates each one."""
     splits: Dict[str, list[QAPair]] = {}
     vocab: Dict[str, None] = {}
     for split, qa in items:
         splits.setdefault(split, []).append(qa)
         for seq in (qa.question, qa.answer, qa.paraphrase, *qa.perturbed):
             vocab.update(dict.fromkeys(seq))
-    return TinyCorpus(vocab=tuple(vocab), splits={k: tuple(v) for k, v in splits.items()})
+    corpus = TinyCorpus(vocab=tuple(vocab), splits={k: tuple(v) for k, v in splits.items()})
+    empty = [split for split in SPLITS if split not in splits]
+    if empty:
+        raise ValueError(f"corpus has no pairs in split {', '.join(empty)}")
+    return corpus
 
 
 def load_corpus(path) -> TinyCorpus:

@@ -14,7 +14,9 @@ from t3.dist import (
     UniformComponent,
     integration_window,
     quadrature,
+    quadrature_seeds,
 )
+from t3.estimator import tempered_oracle
 from t3.metrics import closed_form_errors
 
 GAUSS = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
@@ -106,8 +108,8 @@ class TestTemperedForgetBound:
         np.testing.assert_allclose(val, expected, rtol=1e-12)
 
     def test_disjoint_supports_zero_bias(self):
-        for tau in (1.0, 1.5, 2.0):
-            assert B._tempering_bias(WITNESS, 2.0, tau, 1e-10) == 0.0
+        for bias in B._tempering_bias(WITNESS, 2.0, [1.0, 1.5, 2.0], 1e-10):
+            assert bias == 0.0
 
     def test_finite_and_refinement_stable(self):
         for T in (1.5, 2.0, 2.5):
@@ -137,10 +139,10 @@ class TestTemperedRetainBound:
             assert abs(fine - coarse) / abs(coarse) < 1e-4
 
 
-def _scalar_crossings(m, lo, hi):
+def _scalar_crossings(m, lo, hi, seeds):
     """One root at a time, one scalar density call per bisection step: the
     reference the batched root finder must match bit for bit."""
-    z = np.linspace(lo, hi, 4096)
+    z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
     lp = m.log_density(z)
     roots = []
     for i in np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0):
@@ -158,6 +160,13 @@ def _scalar_crossings(m, lo, hi):
     return roots
 
 
+SPIKE = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
+
+
+def _tau_seeds(m, T):
+    return [s for tau in B.default_tau_grid(T) for s in quadrature_seeds(m, float(tau))]
+
+
 class TestUnitDensityCrossings:
     @pytest.mark.parametrize(
         "m",
@@ -166,14 +175,76 @@ class TestUnitDensityCrossings:
             FLAT,
             WITNESS,
             Mixture(0.3, GaussianComponent(0.0, 0.01), UniformComponent(-0.1, 0.1)),
+            SPIKE,
         ],
     )
     def test_batched_roots_equal_scalar_bisection(self, m):
-        windows = [integration_window(m, float(tau)) for tau in B.default_tau_grid(3.0)]
-        batched = B._unit_density_crossings(m, windows)
-        assert batched == [_scalar_crossings(m, lo, hi) for lo, hi in windows]
-        if m is GAUSS:
-            assert all(len(roots) == 2 for roots in batched)
+        seeds = _tau_seeds(m, 3.0)
+        for tau in B.default_tau_grid(3.0):
+            lo, hi = integration_window(m, float(tau))
+            roots = B._unit_density_crossings(m, lo, hi, seeds)
+            assert roots == _scalar_crossings(m, lo, hi, seeds)
+            if m is GAUSS:
+                assert len(roots) == 2
+
+    @pytest.mark.parametrize("T", [1.1, 1.5, 2.0, 3.0])
+    def test_spike_roots_found_through_the_seeds(self, T):
+        # ln p > 0 only on |z| < 0.0028, narrower than the 4096-point grid
+        # step; the spike's core seeds bracket both roots
+        lo, hi = integration_window(SPIKE, T)
+        roots = B._unit_density_crossings(SPIKE, lo, hi, _tau_seeds(SPIKE, T))
+        assert len(roots) == 2
+        assert -0.003 < roots[0] < -0.002 and 0.002 < roots[1] < 0.003
+        np.testing.assert_allclose(SPIKE.log_density(np.array(roots)), 0.0, atol=1e-9)
+
+
+class TestTauGridBatching:
+    """The batched tau grids against a per-tau loop of scalar quadratures."""
+
+    @staticmethod
+    def _thm4_bias_loop(m, T):
+        biases = []
+        for tau in B.default_tau_grid(T):
+            oracle = tempered_oracle(m, float(tau))
+            lo, hi = integration_window(m, T)
+            seeds = quadrature_seeds(m, T)
+            d = oracle.density
+            pf2 = quadrature(lambda z: d(z) * np.exp(2 * m.forget.log_density(z)), lo, hi,
+                             breakpoints=seeds)
+            m1 = quadrature(lambda z: d(z) * m.log_density(z), lo, hi, breakpoints=seeds)
+            m2 = quadrature(lambda z: d(z) * m.log_density(z) ** 2, lo, hi, breakpoints=seeds)
+            biases.append((1 - 1 / T) * math.sqrt(pf2) * math.sqrt(max(m2 - m1 * m1, 0.0)))
+        return max(biases)
+
+    @staticmethod
+    def _thm5_loop(m, delta, T):
+        worst = -math.inf
+        for tau in map(float, B.default_tau_grid(T)):
+            lo, hi = integration_window(m, tau)
+            seeds = quadrature_seeds(m, tau) + quadrature_seeds(m, 1.0)
+            seeds += tuple(B._unit_density_crossings(m, lo, hi, seeds))
+            num = quadrature(lambda z: np.exp(m.log_density(z) / tau) * np.abs(m.log_density(z)),
+                             lo, hi, breakpoints=seeds)
+            worst = max(worst, num / B.lemma2_partition_lower_bound(m, delta, tau)
+                        - m.retain.entropy())
+        return delta / (1 - m.gamma) + (1 - 1 / T) * worst
+
+    @pytest.mark.parametrize("m", [GAUSS, FLAT, SPIKE])
+    @pytest.mark.parametrize("T", [1.5, 3.0])
+    def test_thm4_bias_matches_per_tau_loop(self, m, T):
+        batched = float(np.max(B._tempering_bias(m, T, B.default_tau_grid(T), 1e-10)))
+        np.testing.assert_allclose(batched, self._thm4_bias_loop(m, T), rtol=1e-8)
+
+    @pytest.mark.parametrize("m", [GAUSS, FLAT, SPIKE])
+    @pytest.mark.parametrize("T", [1.5, 3.0])
+    def test_thm5_matches_per_tau_loop(self, m, T):
+        np.testing.assert_allclose(
+            B.thm5_retain_bound(m, 0.01, T), self._thm5_loop(m, 0.01, T), rtol=1e-8
+        )
+
+    @pytest.mark.parametrize("T", [1.1, 1.5, 2.0, 3.0])
+    def test_thm5_finite_at_sharpest_forget_variance(self, T):
+        assert math.isfinite(B.thm5_retain_bound(SPIKE, 0.01, T))
 
 
 class TestProposition1:

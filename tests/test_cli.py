@@ -33,6 +33,17 @@ def test_tinylm_reports_on_the_demo_corpus(capsys, tmp_path):
         assert line in out
 
 
+def test_tinylm_rejects_a_corpus_with_an_empty_split(capsys, tmp_path, monkeypatch):
+    from t3 import tinylm as tl
+
+    path = tmp_path / "corpus.tsv"
+    path.write_text("forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb\n", encoding="utf-8")
+    monkeypatch.setattr(tl, "fit_lm", None)  # no work may start
+    with pytest.raises(ValueError, match="corpus has no pairs in split ra, wf$"):
+        cli.main(["tinylm", "--corpus", str(path)])
+    assert capsys.readouterr().out == ""
+
+
 def _assert_rejected(capsys, tmp_path, command, option, value, message):
     """Argparse exits with code 2 and prints ``message`` before any output."""
     if command == "tinylm":

@@ -182,6 +182,48 @@ class TestQuadrature:
             quadrature(noise, 0.0, 1.0, tol=1e-10)
         assert sum(calls) <= MAX_EVALUATIONS
 
+    def test_value_cap_counts_points_times_rows(self):
+        # one row of sin(1000 z) converges on ~350k points; three rows of it
+        # would take ~1.05M values, past the cap, though each row converges
+        def rows(k):
+            return lambda z: np.tile(np.sin(1000.0 * z), (k, 1))
+
+        one = quadrature(rows(1), 0.0, 1.0, tol=1e-12)
+        np.testing.assert_allclose(quadrature(rows(2), 0.0, 1.0, tol=1e-12), [one[0]] * 2, rtol=1e-12)
+        with pytest.raises(QuadratureError, match=f"would pass {MAX_EVALUATIONS} integrand"):
+            quadrature(rows(3), 0.0, 1.0, tol=1e-12)
+
+    def test_row_blocks_return_arrays_and_one_row_equals_1d(self):
+        g = GaussianComponent(0.0, 1.0)
+        scalar = quadrature(g.density, -12, 12)
+        assert isinstance(scalar, float)
+        one = quadrature(lambda z: g.density(z)[None, :], -12, 12)
+        assert one.shape == (1,) and one[0] == scalar
+        two = quadrature(lambda z: np.vstack([g.density(z), z * z * g.density(z)]), -12, 12)
+        assert two.shape == (2,)
+        np.testing.assert_allclose(two, [1.0, 1.0], atol=1e-9)
+
+    def test_one_unconverged_row_fails_the_call(self):
+        def rows(z):
+            return np.vstack([z * z, np.where(z < 1 / 3, 0.0, 1.0)])
+
+        np.testing.assert_allclose(quadrature(lambda z: z * z, 0.0, 1.0, tol=1e-12), 1 / 3)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            quadrature(rows, 0.0, 1.0, tol=1e-12)
+
+    def test_nonfinite_value_fails_fast_naming_row_and_point(self):
+        with pytest.raises(QuadratureError, match=r"returned -inf in row 0 at z=0\.0"):
+            quadrature(lambda z: np.where(z > 0.0, z, -np.inf), 0.0, 1.0)
+        calls = []
+
+        def rows(z):
+            calls.append(z.size)
+            return np.vstack([np.sin(20.0 * z), np.where(z == 0.625, np.nan, z)])
+
+        with pytest.raises(QuadratureError, match=r"returned nan in row 1 at z=0\.625"):
+            quadrature(rows, 0.0, 1.0)
+        assert len(calls) == 6  # a, mid, b, level 0's two, then level 1's first
+
     def test_breakpoints_resolve_jumps(self):
         q = quadrature(
             lambda z: np.where(z < 1 / 3, 0.0, 1.0), 0.0, 1.0, tol=1e-12, breakpoints=(1 / 3,)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t3.classifier import QuadClassifier, bayes_classifier, train, witness_classifier, LabeledDataset
 from t3.dist import (
@@ -14,7 +16,7 @@ from t3.dist import (
     quadrature,
     quadrature_seeds,
 )
-from t3.estimator import build, tempered_oracle
+from t3.estimator import build, partitions, tempered_oracle
 from t3 import bounds as B
 from t3 import tinylm as tl
 from t3.bounds import lemma2_partition_lower_bound
@@ -44,6 +46,46 @@ class TestBuild:
     def test_rejects_t_below_one(self):
         with pytest.raises(ValueError):
             build(DEFAULT, NEAR_ONE, 0.99)
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("T", [1.0, 1.37, 2.0, 3.0])
+    def test_one_temperature_is_the_scalar_quadrature_bit_for_bit(self, T):
+        clf = QuadClassifier(weights=np.array([0.5, -0.3, 0.2]))
+        spike = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
+        wit = witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0))
+        witness = Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+        for m, c in ((DEFAULT, clf), (spike, clf), (witness, wit)):
+            scalar = quadrature(
+                lambda z: np.exp(m.log_density(z) / T) * c.predict(z),
+                *integration_window(m, T),
+                breakpoints=quadrature_seeds(m, T),
+            )
+            (z_val,) = partitions(m, c, [T])
+            assert z_val == scalar == build(m, c, T).partition
+
+    # The reference is build at a tighter tolerance: at the default 1e-10,
+    # a scalar build misses its own tolerance on ~1% of such draws (by up to
+    # 2e-9), which would measure build's error rather than the grid's.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.floats(0.05, 0.5),
+        means=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        log_variances=st.tuples(st.floats(-1.0, 0.5), st.floats(-6.0, 0.0)),
+        weights=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        temperatures=st.lists(st.floats(1.0, 3.0), min_size=1, max_size=6),
+    )
+    def test_every_row_matches_build(self, gamma, means, log_variances, weights, temperatures):
+        m = Mixture(
+            gamma,
+            GaussianComponent(means[0], 10.0 ** log_variances[0]),
+            GaussianComponent(means[1], 10.0 ** log_variances[1]),
+        )
+        clf = QuadClassifier(weights=np.array(weights))
+        z_vals = partitions(m, clf, temperatures)
+        assert z_vals.shape == (len(temperatures),) and np.all(z_vals > 0.0)
+        ref = [build(m, clf, T, tol=1e-13).partition for T in temperatures]
+        np.testing.assert_allclose(z_vals, ref, rtol=1e-9, atol=0.0)
 
 
 class TestDensity:
@@ -154,6 +196,7 @@ def _tilted_next_token(T):
 
 TEMPERATURE_ENTRY_POINTS = {
     "build": lambda T: build(DEFAULT, NEAR_ONE, T),
+    "partitions": lambda T: partitions(DEFAULT, NEAR_ONE, [1.0, T]),
     "tempered_oracle": lambda T: tempered_oracle(DEFAULT, T),
     "GaussianComponent.temper": lambda T: GaussianComponent(0.0, 1.0).temper(T),
     "UniformComponent.temper": lambda T: UniformComponent(0.0, 1.0).temper(T),

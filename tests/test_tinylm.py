@@ -55,10 +55,19 @@ class TestCorpus:
 
     def test_load_keeps_first_seen_file_order(self, tmp_path):
         path = tmp_path / "corpus.tsv"
-        path.write_text("forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb|z\n", encoding="utf-8")
+        path.write_text(
+            "forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb|z\nwf\tq\ta\ta\tb\nra\ty\tb\tb\ta\n",
+            encoding="utf-8",
+        )
         loaded = tl.load_corpus(path)
         assert loaded.vocab == ("q", "z", "b", "c", "a", "y")
-        assert list(loaded.splits) == ["forget", "retain"]
+        assert list(loaded.splits) == ["forget", "retain", "wf", "ra"]
+
+    def test_load_rejects_empty_splits_by_name(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no pairs in split ra, wf$"):
+            tl.load_corpus(path)
 
     def test_rejects_oversized_vocab(self):
         vocab = tuple(f"t{i}" for i in range(65))
