@@ -18,7 +18,7 @@ from .classifier import (
     train,
     witness_classifier,
 )
-from .estimator import T3Estimator, build, partitions, tempered_oracle
+from .estimator import T3Estimator, build
 from .metrics import ErrorEstimate, closed_form_errors, forget_error, retain_error
 
 __version__ = "0.1.0"
@@ -40,8 +40,6 @@ __all__ = [
     "imbalance_corrected_tilt",
     "T3Estimator",
     "build",
-    "partitions",
-    "tempered_oracle",
     "ErrorEstimate",
     "retain_error",
     "forget_error",

@@ -2,8 +2,9 @@
 
 Every layer above funnels through these: the Gaussian log-densities behind
 each component and mixture, the overflow-safe sigmoid, softplus and log
-sigmoid behind the classifiers and the tinylm head, and the Monte Carlo
-(mean, standard error) pair that every estimate reports.  This module
+sigmoid behind the classifiers and the tinylm head, the Monte Carlo
+(mean, standard error) pair that every estimate reports, and the guard on
+every temperature.  This module
 imports nothing from the package, so any module may use it without a cycle.
 """
 
@@ -58,3 +59,10 @@ def mean_se(terms: np.ndarray) -> tuple[float, float]:
 def as_array(z) -> np.ndarray:
     """Coerce scalar-or-array input to a contiguous float64 1-d array."""
     return np.ascontiguousarray(np.atleast_1d(np.asarray(z, dtype=np.float64)))
+
+
+def check_temperature(T) -> float:
+    """T as a float; a ValueError unless 1 <= T < inf (NaN fails too)."""
+    if not 1.0 <= T < math.inf:
+        raise ValueError(f"temperature must lie in [1, inf), got {T}")
+    return float(T)

@@ -23,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import check_temperature
 from .dist import Mixture, integration_window, quadrature, quadrature_seeds
-from .estimator import oracle_classifier, partitions
+from .estimator import build, oracle_classifier
 
 DEFAULT_TAU_POINTS = 25
 
@@ -103,8 +104,7 @@ def lemma2_partition_lower_bound(m: Mixture, delta: float, T: float) -> float:
 
         (1-gamma)^((T+1)/T) * exp(((T-1)/T) H(p_r) - (delta - g ln g)/(1-g))
     """
-    if not 1.0 <= T < math.inf:
-        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+    check_temperature(T)
     g = m.gamma
     h_r = m.retain.entropy()
     return (1.0 - g) ** ((T + 1.0) / T) * math.exp(
@@ -116,18 +116,17 @@ def default_tau_grid(T: float) -> np.ndarray:
     return np.linspace(1.0, T, DEFAULT_TAU_POINTS) if T > 1.0 else np.array([1.0])
 
 
-def _tempering_bias(m: Mixture, T: float, taus, quad_tol: float) -> np.ndarray:
+def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
     """(1 - 1/T) * ||p_f||_{2, p_r^(tau)} * Std_{p_r^(tau)}[ln p] at every tau
     of ``taus`` (all in [1, T]).
 
-    The tau-tempered oracle partitions come from one ``partitions`` call, and
-    each of the three tau-moments is one quadrature with a row per tau over
-    the T window, which every tau shares."""
+    The tau-tempered oracle is one estimator over the tau grid, and each of
+    the three tau-moments is one quadrature with a row per tau over the T
+    window, which every tau shares."""
     taus = np.asarray(taus, dtype=np.float64)
     if T == 1.0:
         return np.zeros(taus.size)
-    f_star = oracle_classifier(m)
-    z_tau = partitions(m, f_star, taus, tol=quad_tol)[:, None]
+    oracle = build(m, oracle_classifier(m), taus)
     lo, hi = integration_window(m, T)
     seeds = quadrature_seeds(m, T)
 
@@ -135,9 +134,8 @@ def _tempering_bias(m: Mixture, T: float, taus, quad_tol: float) -> np.ndarray:
         # the tau-tempered oracle density (one row per tau) and ln p, with
         # ln p reported as 0 where the density vanishes (off uniform
         # supports ln p = -inf, and 0 * inf would be NaN)
-        lp = m.log_density(z)
-        d = np.exp(lp / taus[:, None]) * f_star.predict(z) / z_tau
-        return d, np.where(d > 0.0, lp, 0.0)
+        d = oracle.density(z)
+        return d, np.where(d > 0.0, m.log_density(z), 0.0)
 
     def wpf2(z):
         return oracle_rows(z)[0] * np.exp(2.0 * m.forget.log_density(z))
@@ -151,14 +149,12 @@ def _tempering_bias(m: Mixture, T: float, taus, quad_tol: float) -> np.ndarray:
         return d * lp * lp
 
     # three calls of len(taus) rows keep each well under MAX_EVALUATIONS
-    pf2, m1, m2 = (
-        quadrature(w, lo, hi, tol=quad_tol, breakpoints=seeds) for w in (wpf2, wlogp, wlogp2)
-    )
+    pf2, m1, m2 = (quadrature(w, lo, hi, breakpoints=seeds) for w in (wpf2, wlogp, wlogp2))
     var = np.maximum(m2 - m1 * m1, 0.0)
     return (1.0 - 1.0 / T) * np.sqrt(np.maximum(pf2, 0.0)) * np.sqrt(var)
 
 
-def _power_integral(m: Mixture, c: float, quad_tol: float, T_window: float) -> float:
+def _power_integral(m: Mixture, c: float, T_window: float) -> float:
     """integral of p^c over the window.  c = 0 (the k = T edge) integrates
     the constant 1, i.e. returns the window length."""
     if c <= 1e-12:
@@ -167,9 +163,7 @@ def _power_integral(m: Mixture, c: float, quad_tol: float, T_window: float) -> f
     t_eff = max(1.0 / c, 1.0)
     lo, hi = integration_window(m, t_eff)
     seeds = quadrature_seeds(m, t_eff)
-    return quadrature(
-        lambda z: np.exp(c * m.log_density(z)), lo, hi, tol=quad_tol, breakpoints=seeds
-    )
+    return quadrature(lambda z: np.exp(c * m.log_density(z)), lo, hi, breakpoints=seeds)
 
 
 def thm4_forget_bound(
@@ -177,7 +171,6 @@ def thm4_forget_bound(
     delta: float,
     T: float,
     k: Optional[float] = None,
-    quad_tol: float = 1e-10,
 ) -> float:
     """Forget Error bound for the T-tempered estimator:
 
@@ -189,14 +182,13 @@ def thm4_forget_bound(
     with k >= T controlling the integrability tradeoff (default max(T, 2))
     and A(T, gamma) the lemma 2 partition lower bound at delta = 0.
     """
-    if not 1.0 <= T < math.inf:
-        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+    check_temperature(T)
     if k is None:
         k = max(T, 2.0)
     if k < T:
         raise ValueError(f"need k >= T, got k={k} < T={T}")
 
-    bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T), quad_tol)))
+    bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T))))
 
     g = m.gamma
     pf_inf = m.forget.peak_density()
@@ -208,7 +200,7 @@ def thm4_forget_bound(
         power_int = 1.0
     else:
         c = (k - T) / (T * (k - 1.0))
-        power_int = _power_integral(m, c, quad_tol, T)
+        power_int = _power_integral(m, c, T)
     term3 = (
         pf_inf ** (1.0 / T)
         * power_int ** ((k - 1.0) / k)
@@ -245,12 +237,7 @@ def _unit_density_crossings(m: Mixture, lo: float, hi: float, seeds=()) -> list[
     return (0.5 * (a + b)).tolist()
 
 
-def thm5_retain_bound(
-    m: Mixture,
-    delta: float,
-    T: float,
-    quad_tol: float = 1e-10,
-) -> float:
+def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
     """Retain Error bound for the T-tempered estimator:
 
         delta/(1-gamma) + (1 - 1/T) * max_tau [
@@ -261,8 +248,7 @@ def thm5_retain_bound(
     tau, over the widest (tau = T) window, pre-split at the union of the
     per-tau seeds and at the |ln p| kinks, which are found once.
     """
-    if not 1.0 <= T < math.inf:
-        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+    check_temperature(T)
     base = thm1_retain_bound(delta, m.gamma)
     if T == 1.0:
         return base
@@ -276,7 +262,7 @@ def thm5_retain_bound(
         lp = m.log_density(z)
         return np.exp(lp / taus[:, None]) * np.abs(lp)
 
-    num = quadrature(integrand, lo, hi, tol=quad_tol, breakpoints=seeds)
+    num = quadrature(integrand, lo, hi, breakpoints=seeds)
     denom = np.array([lemma2_partition_lower_bound(m, delta, tau) for tau in taus])
     worst = float(np.max(num / denom - m.retain.entropy()))
     return base + (1.0 - 1.0 / T) * worst
@@ -309,7 +295,6 @@ def tempered_gaussian_log_integral(v: float, tau: float) -> float:
     """
     if v < 1.0 / (2.0 * math.pi):
         raise ValueError("identity needs v >= 1/(2 pi) so the log-density is nonpositive")
-    if not 1.0 <= tau < math.inf:
-        raise ValueError(f"temperature tau must lie in [1, inf), got {tau}")
+    check_temperature(tau)
     tp = 2.0 * math.pi * v
     return tp ** ((tau - 1.0) / (2.0 * tau)) * math.sqrt(tau) * (tau / 2.0 + 0.5 * math.log(tp))

@@ -9,7 +9,7 @@ Monte Carlo excess-risk estimation, and the class-imbalance-corrected tilt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -40,16 +40,10 @@ def quadratic_features(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """n samples (z_i, s_i); s = 1 marks the retain component.
-
-    ``source_gamma`` is the population forget proportion the data was drawn
-    under; ``observed_mu`` is the empirical forget fraction (#{s=0}/n).
-    """
+    """n samples (z_i, s_i); s = 1 marks the retain component."""
 
     z: np.ndarray
     s: np.ndarray
-    source_gamma: float
-    observed_mu: float = field(init=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -62,7 +56,6 @@ class LabeledDataset:
             raise ValueError("z must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "s", s.astype(np.int64))
-        object.__setattr__(self, "observed_mu", float(np.mean(self.s == 0)))
 
     @property
     def n(self) -> int:
@@ -71,7 +64,7 @@ class LabeledDataset:
     @classmethod
     def from_mixture(cls, m: Mixture, n: int, rng: np.random.Generator) -> "LabeledDataset":
         z, s = m.sample_labeled(rng, n)
-        return cls(z=z, s=s, source_gamma=m.gamma)
+        return cls(z=z, s=s)
 
 
 @dataclass(frozen=True)

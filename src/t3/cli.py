@@ -119,9 +119,8 @@ def _cmd_verify_lb(args) -> int:
     wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
     retain_cf, forget_cf = closed_form_errors(m, wit)
     lb = thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
-    est = build(m, wit, 1.0)
     rng = np.random.default_rng(args.seed)
-    fog = forget_error(est, m, 100_000, rng)
+    (fog,) = forget_error(build(m, wit, [1.0]), 100_000, rng)
     gap = abs(forget_cf - lb)
     # the witness integrand is constant on the forget support, so the MC
     # spread can be exactly zero; compare with a machine-noise floor

@@ -66,8 +66,7 @@ class GaussianComponent:
         Raising N(mu, v) to 1/T rescales the variance to T*v; the leftover
         constant is C = (2*pi*v)^((T-1)/(2T)) * sqrt(T).
         """
-        if not 1.0 <= T < math.inf:
-            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+        _kernels.check_temperature(T)
         normalizer = (2.0 * math.pi * self.variance) ** ((T - 1.0) / (2.0 * T)) * math.sqrt(T)
         return GaussianComponent(self.mean, T * self.variance), normalizer
 
@@ -111,8 +110,7 @@ class UniformComponent:
 
     def temper(self, T: float) -> tuple["UniformComponent", float]:
         """Tempering a flat density leaves it flat; only the constant moves."""
-        if not 1.0 <= T < math.inf:
-            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+        _kernels.check_temperature(T)
         width = self.hi - self.lo
         return self, width ** ((T - 1.0) / T)
 

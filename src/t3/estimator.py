@@ -5,22 +5,20 @@ the retain density is
 
     p_hat(z) = p(z)^(1/T) * f(z) / Z,   Z = integral of p^(1/T) * f.
 
-At desk scale Z is computed exactly, by adaptive quadrature over the
-tempered integration window; ``partitions`` integrates a whole temperature
-grid in one vector-valued quadrature.
+An estimator holds a whole temperature grid, one row per T; one temperature
+is a one-element grid.  At desk scale every Z is computed exactly, by one
+vector-valued adaptive quadrature over the widest tempered window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import as_array
+from ._kernels import as_array, check_temperature
 from .classifier import (
     Classifier,
-    PRED_CLAMP,
     bayes_classifier,
     indicator_classifier,
 )
@@ -32,58 +30,52 @@ from .dist import (
     quadrature_seeds,
 )
 
-LOG_CLAMP = math.log(PRED_CLAMP)
-
 
 @dataclass(frozen=True)
 class T3Estimator:
+    """The estimate at each of ``temperatures``; ``partitions[i]`` is Z at
+    ``temperatures[i]``."""
+
     mixture: Mixture
     classifier: Classifier
-    temperature: float
-    partition: float
+    temperatures: tuple
+    partitions: tuple
+
+    def __post_init__(self):
+        if len(self.partitions) != len(self.temperatures):
+            raise ValueError(
+                f"need one partition per temperature, got {len(self.partitions)} "
+                f"for {len(self.temperatures)}"
+            )
 
     def density(self, z) -> np.ndarray:
-        """p(z)^(1/T) * f(z) / Z, no clamping."""
+        """p(z)^(1/T) * f(z) / Z as a (k, n) block, one row per T; no
+        clamping."""
         z = as_array(z)
-        base = np.exp(self.mixture.log_density(z) / self.temperature)
-        return base * self.classifier.predict(z) / self.partition
+        base = np.exp(self.mixture.log_density(z) / np.array(self.temperatures)[:, None])
+        return base * self.classifier.predict(z) / np.array(self.partitions)[:, None]
 
 
-def clamped_log_tilt(clf: Classifier, z) -> np.ndarray:
-    """ln f(z) floored at LOG_CLAMP = ln PRED_CLAMP, so that ln p_hat is
-    finite wherever p > 0 (what the retain-error metric needs)."""
-    return np.maximum(clf.log_predict(z), LOG_CLAMP)
-
-
-def partitions(m: Mixture, clf: Classifier, temperatures, tol: float = 1e-10) -> np.ndarray:
-    """The partition Z(T) = integral of p^(1/T) f at every temperature, as one
-    vector-valued quadrature to absolute tolerance ``tol`` per row.
+def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:
+    """Construct the estimator over a temperature grid, computing every
+    partition Z(T) = integral of p^(1/T) f in one vector-valued quadrature.
 
     All rows share the widest tempered window and the union of the per-T
     quadrature seeds, and ln p and f are evaluated once per point; a panel
-    closes only when every row has converged.  ``build`` is the
-    one-temperature case."""
-    temps = np.array([float(T) for T in temperatures])
-    for T in temps:
-        if not 1.0 <= T < math.inf:
-            raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+    closes only when every row has converged."""
+    temps = np.array([check_temperature(T) for T in temperatures])
+    if temps.size == 0:
+        raise ValueError("build needs a nonempty temperature grid")
 
     def integrand(z):
         return np.exp(m.log_density(z) / temps[:, None]) * clf.predict(z)
 
     lo, hi = integration_window(m, temps.max())
     seeds = [s for T in temps for s in quadrature_seeds(m, T)]
-    z_vals = quadrature(integrand, lo, hi, tol=tol, breakpoints=seeds)
+    z_vals = quadrature(integrand, lo, hi, breakpoints=seeds)
     if not np.all(z_vals > 0.0):
         raise ValueError(f"partition must be positive, got {z_vals.min()}")
-    return z_vals
-
-
-def build(m: Mixture, clf: Classifier, T: float, tol: float = 1e-10) -> T3Estimator:
-    """Construct the estimator, computing its partition function Z by
-    quadrature to absolute tolerance ``tol`` (``partitions`` at one T)."""
-    (z_val,) = partitions(m, clf, [T], tol=tol).tolist()
-    return T3Estimator(mixture=m, classifier=clf, temperature=float(T), partition=z_val)
+    return T3Estimator(m, clf, tuple(temps.tolist()), tuple(z_vals.tolist()))
 
 
 def oracle_classifier(m: Mixture) -> Classifier:
@@ -94,11 +86,3 @@ def oracle_classifier(m: Mixture) -> Classifier:
     if isinstance(m.retain, UniformComponent) and isinstance(m.forget, UniformComponent):
         return indicator_classifier(m)
     raise TypeError("no closed-form posterior for mixed component families")
-
-
-def tempered_oracle(m: Mixture, tau: float, tol: float = 1e-10) -> T3Estimator:
-    """The tau-tempered oracle estimate: p^(1/tau) * f_star, normalized by
-    quadrature.  At tau = 1 this is exactly p_r."""
-    if not 1.0 <= tau < math.inf:
-        raise ValueError(f"temperature tau must lie in [1, inf), got {tau}")
-    return build(m, oracle_classifier(m), tau, tol=tol)

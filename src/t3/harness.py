@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from ._kernels import mean_se
+from ._kernels import check_temperature, mean_se
 from .classifier import (
     LabeledDataset,
     bayes_classifier,
@@ -35,8 +35,8 @@ from .classifier import (
     witness_classifier,
 )
 from .dist import GaussianComponent, Mixture, UniformComponent
-from .estimator import build, clamped_log_tilt, partitions
-from .metrics import forget_error, forget_terms, retain_error, retain_terms
+from .estimator import build
+from .metrics import forget_error, retain_error
 
 SEED_ENV = "T3_SEED"
 
@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.t_grid or not self.v_f_grid or not self.n_grid:
             raise ValueError("t_grid, v_f_grid and n_grid must be nonempty")
-        if not all(1.0 <= t < math.inf for t in self.t_grid):
-            raise ValueError("temperature grid must lie in [1, inf)")
+        for t in self.t_grid:
+            check_temperature(t)
         if self.n < 1 or any(n < 1 for n in self.n_grid):
             raise ValueError("sample sizes n and n_grid must be >= 1")
         if self.n_mc < 2 or self.n_mc_risk < 2:
@@ -285,13 +285,11 @@ def run_trial(
 ) -> list[TrialRecord]:
     """One seeded trial: sample data, train, then measure errors at every T.
 
-    The two Monte Carlo samples are drawn once per trial and shared across
-    the temperature grid (common random numbers), so only the tempering
-    exponent and the partition change per T.  This matches calling the
-    metric functions per T with fresh draws in expectation while making the
-    T-curves of one trial directly comparable.  The partitions of the whole
-    grid come from one vector-valued quadrature (``partitions``); the metric
-    terms are still formed one T at a time, so no (T x n_mc) block is held.
+    The estimator covers the whole temperature grid, and each metric draws
+    one sample and shares it across the grid (common random numbers), so
+    only the tempering exponent and the partition change per T.  This
+    matches fresh draws per T in expectation while making the T-curves of
+    one trial directly comparable.
 
     A consequence the acceptance suite relies on (clause C5c): with the
     retain draws fixed, the retain error at beta = 1/T is affine in beta
@@ -305,33 +303,25 @@ def run_trial(
     clf = train(data, lam)
     bayes = bayes_classifier(m)
     delta_hat, delta_se = estimate_excess_risk(clf, m, bayes, config.n_mc_risk, rng)
-
-    # the per-draw inputs of the metric terms depend on the draws, not on T
-    z_r = m.retain.sample(rng, config.n_mc)
-    z_f = m.forget.sample(rng, config.n_mc)
-    retain_draws = (m.retain.log_density(z_r), m.log_density(z_r), clamped_log_tilt(clf, z_r))
-    forget_draws = (np.exp(m.retain.log_density(z_f)), m.log_density(z_f), clf.predict(z_f))
-
-    records = []
-    for T, z_val in zip(config.t_grid, partitions(m, clf, config.t_grid).tolist()):
-        retain_err, retain_se = mean_se(retain_terms(*retain_draws, T, z_val))
-        forget_err, forget_se = mean_se(forget_terms(*forget_draws, T, z_val))
-        records.append(
-            TrialRecord(
-                seed=seed,
-                v_f=v_f,
-                n=n,
-                T=float(T),
-                lam=lam,
-                delta_hat=delta_hat,
-                delta_se=delta_se,
-                retain_err=retain_err,
-                retain_se=retain_se,
-                forget_err=forget_err,
-                forget_se=forget_se,
-            )
+    e = build(m, clf, config.t_grid)
+    retain = retain_error(e, config.n_mc, rng)
+    forget = forget_error(e, config.n_mc, rng)
+    return [
+        TrialRecord(
+            seed=seed,
+            v_f=v_f,
+            n=n,
+            T=T,
+            lam=lam,
+            delta_hat=delta_hat,
+            delta_se=delta_se,
+            retain_err=r.value,
+            retain_se=r.std_err,
+            forget_err=f.value,
+            forget_se=f.std_err,
         )
-    return records
+        for T, r, f in zip(e.temperatures, retain, forget)
+    ]
 
 
 def _trial_task(args) -> list[TrialRecord]:
@@ -412,9 +402,9 @@ def soundness_reports_for_classifier(
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta_up=delta_up, pf_inf=pf_inf)
 
-    est = build(m, clf, 1.0)
-    ret = retain_error(est, m, config.n_mc, rng)
-    fog = forget_error(est, m, config.n_mc, rng)
+    est = build(m, clf, [1.0])
+    (ret,) = retain_error(est, config.n_mc, rng)
+    (fog,) = forget_error(est, config.n_mc, rng)
 
     z_l1 = m.sample(rng, config.n_mc)
     l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
@@ -444,7 +434,7 @@ def soundness_reports_for_classifier(
         bounds_mod.BoundReport(
             bound_name="partition_lower",
             inputs=inputs,
-            bound_value=est.partition,
+            bound_value=est.partitions[0],
             measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, 1.0),
             measured_std_err=0.0,
         ),
@@ -452,9 +442,9 @@ def soundness_reports_for_classifier(
 
     if tempered_t is not None:
         t_val = float(tempered_t)
-        est_t = build(m, clf, t_val)
-        ret_t = retain_error(est_t, m, config.n_mc, rng)
-        fog_t = forget_error(est_t, m, config.n_mc, rng)
+        est_t = build(m, clf, [t_val])
+        (ret_t,) = retain_error(est_t, config.n_mc, rng)
+        (fog_t,) = forget_error(est_t, config.n_mc, rng)
         t_inputs = dict(inputs, T=t_val)
         reports.append(
             bounds_mod.BoundReport(
@@ -478,7 +468,7 @@ def soundness_reports_for_classifier(
             bounds_mod.BoundReport(
                 bound_name="partition_lower_tempered",
                 inputs=t_inputs,
-                bound_value=est_t.partition,
+                bound_value=est_t.partitions[0],
                 measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, t_val),
                 measured_std_err=0.0,
             )
@@ -525,8 +515,7 @@ def run_soundness_sweep(
         delta = float(10.0 ** rng.uniform(-4.0, -1.0))
         m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
         wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
-        est = build(m, wit, 1.0)
-        fog = forget_error(est, m, config.n_mc, rng)
+        (fog,) = forget_error(build(m, wit, [1.0]), config.n_mc, rng)
         lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
         reports.append(
             bounds_mod.BoundReport(

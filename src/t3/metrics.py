@@ -2,7 +2,8 @@
 
 Retain Error is the forward KL divergence KL(p_r || p_hat), estimated as a
 Monte Carlo average of log-density differences under p_r.  Forget Error is
-the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  On the disjoint-uniform
+the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  Each metric scores
+every temperature of an estimator's grid on one shared sample.  On the disjoint-uniform
 witness family both have closed forms, evaluated here by finite algebra.
 """
 
@@ -14,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mean_se
-from .classifier import PiecewiseClassifier
+from .classifier import PRED_CLAMP, PiecewiseClassifier
 from .dist import Mixture, UniformComponent
-from .estimator import T3Estimator, clamped_log_tilt
+from .estimator import T3Estimator
+
+LOG_CLAMP = math.log(PRED_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -30,44 +33,36 @@ class ErrorEstimate:
             raise ValueError(f"std_err must be >= 0, got {self.std_err}")
 
 
-def retain_terms(log_pr, log_p, log_f, T: float, partition: float) -> np.ndarray:
-    """Per-draw ln p_r(z) - ln p_hat(z) at draws z ~ p_r, from ln p_r(z),
-    ln p(z) and the clamped ln f(z) (:func:`~t3.estimator.clamped_log_tilt`),
-    for the estimator at temperature T with partition Z."""
-    return log_pr - (log_p / T + log_f - math.log(partition))
-
-
-def forget_terms(p_r, log_p, f, T: float, partition: float) -> np.ndarray:
-    """Per-draw |p_r(z) - p_hat(z)| at draws z ~ p_f, from p_r(z), ln p(z)
-    and f(z), for the estimator at temperature T with partition Z."""
-    return np.abs(p_r - np.exp(log_p / T) * f / partition)
-
-
-def retain_error(
-    e: T3Estimator, m: Mixture, n_mc: int, rng: np.random.Generator
-) -> ErrorEstimate:
-    """MC estimate of KL(p_r || p_hat): mean of ln p_r(z) - ln p_hat(z) for
-    z ~ p_r.  Works in log densities throughout so sharp peaks cannot
-    overflow; the classifier is clamped at PRED_CLAMP, keeping every term
-    finite on the retain support."""
+def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
+    """MC estimate of KL(p_r || p_hat) at every temperature of ``e``: the
+    mean of ln p_r(z) - ln p_hat(z) over one sample z ~ p_r, shared across
+    the grid (common random numbers).  Works in log densities throughout so
+    sharp peaks cannot overflow; ln f is floored at ln PRED_CLAMP, keeping
+    every term finite on the retain support.  The terms are formed one T at
+    a time, so no (T x n_mc) block is held."""
+    m = e.mixture
     z = m.retain.sample(rng, n_mc)
-    terms = retain_terms(
-        m.retain.log_density(z), e.mixture.log_density(z), clamped_log_tilt(e.classifier, z),
-        e.temperature, e.partition,
-    )
-    return ErrorEstimate(*mean_se(terms), n_mc)
+    log_pr = m.retain.log_density(z)
+    log_p = m.log_density(z)
+    log_f = np.maximum(e.classifier.log_predict(z), LOG_CLAMP)
+    return [
+        ErrorEstimate(*mean_se(log_pr - (log_p / T + log_f - math.log(partition))), n_mc)
+        for T, partition in zip(e.temperatures, e.partitions)
+    ]
 
 
-def forget_error(
-    e: T3Estimator, m: Mixture, n_mc: int, rng: np.random.Generator
-) -> ErrorEstimate:
-    """MC estimate of E_{p_f} |p_r(z) - p_hat(z)| for z ~ p_f."""
+def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
+    """MC estimate of E_{p_f} |p_r(z) - p_hat(z)| at every temperature of
+    ``e``, over one sample z ~ p_f shared across the grid, one T at a time."""
+    m = e.mixture
     z = m.forget.sample(rng, n_mc)
-    terms = forget_terms(
-        np.exp(m.retain.log_density(z)), e.mixture.log_density(z), e.classifier.predict(z),
-        e.temperature, e.partition,
-    )
-    return ErrorEstimate(*mean_se(terms), n_mc)
+    p_r = np.exp(m.retain.log_density(z))
+    log_p = m.log_density(z)
+    f = e.classifier.predict(z)
+    return [
+        ErrorEstimate(*mean_se(np.abs(p_r - np.exp(log_p / T) * f / partition)), n_mc)
+        for T, partition in zip(e.temperatures, e.partitions)
+    ]
 
 
 def closed_form_errors(m: Mixture, clf: PiecewiseClassifier) -> tuple[float, float]:

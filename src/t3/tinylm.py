@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequen
 
 import numpy as np
 
-from ._kernels import sigmoid, softplus
+from ._kernels import check_temperature, sigmoid, softplus
 
 BOS = -1  # context padding sentinel, never a real token id
 SPLITS = ("retain", "forget", "ra", "wf")
@@ -299,8 +299,7 @@ def tilted_next_token(
     cancels exactly in the renormalization and the output reproduces the
     base distribution bit for bit.
     """
-    if not 1.0 <= T < math.inf:
-        raise ValueError(f"temperature T must lie in [1, inf), got {T}")
+    check_temperature(T)
     ids = lm._ctx_ids(context)
     row = lm._row(ids)
     g = np.clip(head.scores(ids), HEAD_CLAMP, 1.0)

@@ -16,7 +16,7 @@ from t3.dist import (
     quadrature,
     quadrature_seeds,
 )
-from t3.estimator import tempered_oracle
+from t3.estimator import build, oracle_classifier
 from t3.metrics import closed_form_errors
 
 GAUSS = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
@@ -108,16 +108,8 @@ class TestTemperedForgetBound:
         np.testing.assert_allclose(val, expected, rtol=1e-12)
 
     def test_disjoint_supports_zero_bias(self):
-        for bias in B._tempering_bias(WITNESS, 2.0, [1.0, 1.5, 2.0], 1e-10):
+        for bias in B._tempering_bias(WITNESS, 2.0, [1.0, 1.5, 2.0]):
             assert bias == 0.0
-
-    def test_finite_and_refinement_stable(self):
-        for T in (1.5, 2.0, 2.5):
-            for k in (T, 2 * T):
-                coarse = B.thm4_forget_bound(FLAT, 0.01, T, k=k, quad_tol=1e-9)
-                fine = B.thm4_forget_bound(FLAT, 0.01, T, k=k, quad_tol=1e-10)
-                assert math.isfinite(coarse) and coarse > 0
-                assert abs(fine - coarse) / coarse < 1e-4
 
     def test_rejects_k_below_t(self):
         with pytest.raises(ValueError):
@@ -130,13 +122,6 @@ class TestTemperedRetainBound:
 
     def test_zero_delta_t1_is_zero(self):
         assert B.thm5_retain_bound(FLAT, 0.0, 1.0) == 0.0
-
-    def test_finite_and_refinement_stable(self):
-        for T in (1.5, 2.0, 2.5):
-            coarse = B.thm5_retain_bound(GAUSS, 0.01, T, quad_tol=1e-9)
-            fine = B.thm5_retain_bound(GAUSS, 0.01, T, quad_tol=1e-10)
-            assert math.isfinite(coarse)
-            assert abs(fine - coarse) / abs(coarse) < 1e-4
 
 
 def _scalar_crossings(m, lo, hi, seeds):
@@ -205,10 +190,13 @@ class TestTauGridBatching:
     def _thm4_bias_loop(m, T):
         biases = []
         for tau in B.default_tau_grid(T):
-            oracle = tempered_oracle(m, float(tau))
+            oracle = build(m, oracle_classifier(m), [float(tau)])
             lo, hi = integration_window(m, T)
             seeds = quadrature_seeds(m, T)
-            d = oracle.density
+
+            def d(z):
+                return oracle.density(z)[0]
+
             pf2 = quadrature(lambda z: d(z) * np.exp(2 * m.forget.log_density(z)), lo, hi,
                              breakpoints=seeds)
             m1 = quadrature(lambda z: d(z) * m.log_density(z), lo, hi, breakpoints=seeds)
@@ -232,7 +220,7 @@ class TestTauGridBatching:
     @pytest.mark.parametrize("m", [GAUSS, FLAT, SPIKE])
     @pytest.mark.parametrize("T", [1.5, 3.0])
     def test_thm4_bias_matches_per_tau_loop(self, m, T):
-        batched = float(np.max(B._tempering_bias(m, T, B.default_tau_grid(T), 1e-10)))
+        batched = float(np.max(B._tempering_bias(m, T, B.default_tau_grid(T))))
         np.testing.assert_allclose(batched, self._thm4_bias_loop(m, T), rtol=1e-8)
 
     @pytest.mark.parametrize("m", [GAUSS, FLAT, SPIKE])

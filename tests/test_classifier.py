@@ -33,23 +33,19 @@ def _dataset(m, n, seed):
 
 
 class TestLabeledDataset:
-    def test_observed_mu(self):
-        d = LabeledDataset(z=np.arange(4.0), s=np.array([1, 0, 0, 1]), source_gamma=0.3)
-        assert d.observed_mu == 0.5
-
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
-            LabeledDataset(z=np.arange(3.0), s=np.array([0, 1, 2]), source_gamma=0.1)
+            LabeledDataset(z=np.arange(3.0), s=np.array([0, 1, 2]))
 
     def test_rejects_nonfinite_z(self):
         with pytest.raises(ValueError, match="finite"):
-            LabeledDataset(z=np.array([0.0, np.nan, 1.0]), s=np.array([0, 1, 1]), source_gamma=0.1)
+            LabeledDataset(z=np.array([0.0, np.nan, 1.0]), s=np.array([0, 1, 1]))
 
 
 class TestTrain:
     def test_one_class_degenerate_saturates(self):
         rng = np.random.default_rng(0)
-        d = LabeledDataset(z=rng.normal(1, 1, 200), s=np.ones(200, dtype=int), source_gamma=0.1)
+        d = LabeledDataset(z=rng.normal(1, 1, 200), s=np.ones(200, dtype=int))
         clf = train(d, 0.0)
         assert float(clf.predict(d.z).min()) > 1.0 - 1e-6
 
@@ -79,7 +75,7 @@ class TestTrain:
     def test_overflowing_features_fail_loudly(self):
         # z^2 overflows to inf, so the gradient is NaN; training must raise
         # instead of returning the zero start
-        d = LabeledDataset(z=np.array([1e200, 0.0, 1.0]), s=np.array([1, 0, 1]), source_gamma=0.1)
+        d = LabeledDataset(z=np.array([1e200, 0.0, 1.0]), s=np.array([1, 0, 1]))
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             train(d, 1e-3)
 

@@ -1,5 +1,6 @@
-"""The ``t3 verify-lb`` and ``t3 tinylm`` commands, argument validation and
-the documented command list, run in-process."""
+"""The ``t3 verify-lb`` and ``t3 tinylm`` commands, argument validation, the
+documented command list and the README's library quick start, run
+in-process."""
 
 import re
 from pathlib import Path
@@ -114,3 +115,10 @@ def test_documented_commands_match_the_parser(capsys):
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     in_readme = re.findall(r"^t3 ([\w-]+)", block, re.M)
     assert choices == in_docstring == in_readme
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

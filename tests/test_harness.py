@@ -71,8 +71,8 @@ class TestSeeding:
             assert a.csv_row() == b.csv_row()
 
     def test_run_trial_matches_metric_functions(self):
-        # the trial loop caches draws across the T grid; replaying the same
-        # rng stream through the public metric functions must agree exactly
+        # replaying the trial's rng stream through the public functions, in
+        # its draw order, must reproduce its record exactly
         from t3.classifier import LabeledDataset, bayes_classifier, estimate_excess_risk, train
         from t3.estimator import build
         from t3.metrics import forget_error, retain_error
@@ -88,9 +88,9 @@ class TestSeeding:
         assert (d_hat, d_se) == (rec.delta_hat, rec.delta_se)
 
         # run_trial draws its retain sample, then its forget sample
-        est = build(m, clf, 1.7)
-        ret = retain_error(est, m, cfg.n_mc, rng)
-        fog = forget_error(est, m, cfg.n_mc, rng)
+        est = build(m, clf, [1.7])
+        (ret,) = retain_error(est, cfg.n_mc, rng)
+        (fog,) = forget_error(est, cfg.n_mc, rng)
         assert (ret.value, ret.std_err) == (rec.retain_err, rec.retain_se)
         assert (fog.value, fog.std_err) == (rec.forget_err, rec.forget_se)
 

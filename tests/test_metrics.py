@@ -1,6 +1,8 @@
 """Retain and Forget Error estimators against closed forms and quadrature."""
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +33,11 @@ FP_GUARD = 1e-9
 
 
 def _log_estimate(est, z):
-    """ln p_hat(z) from its definition, the classifier clamped at 1e-12."""
+    """ln p_hat(z) of a one-temperature estimator from its definition, the
+    classifier clamped at 1e-12."""
+    ((T, partition),) = zip(est.temperatures, est.partitions)
     logf = np.maximum(est.classifier.log_predict(z), math.log(1e-12))
-    return est.mixture.log_density(z) / est.temperature + logf - math.log(est.partition)
+    return est.mixture.log_density(z) / T + logf - math.log(partition)
 
 
 def test_error_estimate_rejects_negative_se():
@@ -44,20 +48,35 @@ def test_error_estimate_rejects_negative_se():
 
 @pytest.mark.parametrize("metric", [retain_error, forget_error])
 def test_single_draw_has_no_standard_error(metric):
-    est = build(DEFAULT, bayes_classifier(DEFAULT), 1.0)
+    est = build(DEFAULT, bayes_classifier(DEFAULT), [1.0])
     with pytest.raises(ValueError, match="at least 2 draws"):
-        metric(est, DEFAULT, 1, np.random.default_rng(0))
+        metric(est, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("metric", [retain_error, forget_error])
+def test_grid_call_equals_one_temperature_calls(metric):
+    # one sample scores every T: a k-temperature call is, bit for bit, k
+    # one-temperature calls (each with that T's partition) on copies of the
+    # same rng state
+    clf = QuadClassifier(weights=np.array([0.5, -0.3, 0.2]))
+    est = build(DEFAULT, clf, (1.0, 1.3, 2.0, 3.0))
+    rng = np.random.default_rng(21)
+    one_t = [
+        metric(replace(est, temperatures=(T,), partitions=(z_val,)), 2_000, copy.deepcopy(rng))
+        for T, z_val in zip(est.temperatures, est.partitions)
+    ]
+    assert metric(est, 2_000, rng) == [e for (e,) in one_t]
 
 
 class TestOracleRecovery:
     def test_retain_error_zero(self):
-        est = build(DEFAULT, bayes_classifier(DEFAULT), 1.0)
-        r = retain_error(est, DEFAULT, 10**5, np.random.default_rng(0))
+        est = build(DEFAULT, bayes_classifier(DEFAULT), [1.0])
+        (r,) = retain_error(est, 10**5, np.random.default_rng(0))
         assert abs(r.value) <= 3 * r.std_err + 1e-6
 
     def test_forget_error_zero(self):
-        est = build(DEFAULT, bayes_classifier(DEFAULT), 1.0)
-        f = forget_error(est, DEFAULT, 10**5, np.random.default_rng(1))
+        est = build(DEFAULT, bayes_classifier(DEFAULT), [1.0])
+        (f,) = forget_error(est, 10**5, np.random.default_rng(1))
         assert abs(f.value) <= 3 * f.std_err + 1e-6
 
 
@@ -82,11 +101,11 @@ class TestWitnessInstance:
 
     def test_mc_matches_closed_forms(self):
         m, wit = self._setup()
-        est = build(m, wit, 1.0)
+        est = build(m, wit, [1.0])
         ret_cf, fog_cf = closed_form_errors(m, wit)
         rng = np.random.default_rng(5)
-        r = retain_error(est, m, 10**5, rng)
-        f = forget_error(est, m, 10**5, rng)
+        (r,) = retain_error(est, 10**5, rng)
+        (f,) = forget_error(est, 10**5, rng)
         assert abs(r.value - ret_cf) <= 3 * r.std_err + FP_GUARD
         assert abs(f.value - fog_cf) <= 3 * f.std_err + FP_GUARD
 
@@ -103,9 +122,9 @@ class TestWitnessInstance:
         for gamma in np.linspace(0.05, 0.5, 5):
             for delta in np.logspace(-4, -1, 5):
                 m, wit = self._setup(float(gamma), float(delta))
-                est = build(m, wit, 1.0)
+                est = build(m, wit, [1.0])
                 _, fog_cf = closed_form_errors(m, wit)
-                f = forget_error(est, m, 20_000, rng)
+                (f,) = forget_error(est, 20_000, rng)
                 assert abs(f.value - fog_cf) <= 3 * f.std_err + FP_GUARD
 
     def test_rejects_mismatched_supports(self):
@@ -126,9 +145,9 @@ class TestSwappedComponents:
         m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
         bayes = bayes_classifier(m)
         anti = QuadClassifier(weights=-bayes.weights)
-        est = build(m, anti, 1.0)
+        est = build(m, anti, [1.0])
         rng = np.random.default_rng(3)
-        r = retain_error(est, m, 10**5, rng)
+        (r,) = retain_error(est, 10**5, rng)
         assert r.value >= 1.0
 
         # quadrature oracle for the same clamped KL the metric measures; the
@@ -158,8 +177,8 @@ class TestProperties:
             clf = PiecewiseClassifier(
                 (2.0, 3.0), (0.0, 1.0), retain_value=min(1.0, 0.08 * scale), forget_value=0.02 * scale
             )
-            est = build(m, clf, 1.0)
-            terms = np.abs(np.exp(m.retain.log_density(z_f)) - est.density(z_f))
+            est = build(m, clf, [1.0])
+            terms = np.abs(np.exp(m.retain.log_density(z_f)) - est.density(z_f)[0])
             values.append(float(np.mean(terms)))
         np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
         np.testing.assert_allclose(values[0], values[2], rtol=1e-12)
@@ -175,7 +194,7 @@ class TestProperties:
             )
             clf = QuadClassifier(weights=inst.normal(scale=0.6, size=3) + np.array([1.0, 0, 0]))
             T = float(inst.choice([1.0, 1.5, 2.0]))
-            est = build(m, clf, T)
+            est = build(m, clf, [T])
 
             def integrand(z):
                 pr = np.exp(m.retain.log_density(z))
@@ -183,7 +202,7 @@ class TestProperties:
 
             lo, hi = integration_window(m, T)
             exact = quadrature(integrand, lo, hi, tol=1e-8, breakpoints=quadrature_seeds(m, T))
-            r = retain_error(est, m, 10**5, rng)
+            (r,) = retain_error(est, 10**5, rng)
             assert abs(r.value - exact) <= 4 * r.std_err
 
     def test_tempering_bias_only_when_classifier_exact(self):
@@ -192,14 +211,14 @@ class TestProperties:
         m = WITNESS_MIX
         clf = PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), retain_value=1.0, forget_value=0.0)
         for T in (1.0, 2.0):
-            est = build(m, clf, T)
+            est = build(m, clf, [T])
 
             def integrand(z):
                 pf = np.exp(m.forget.log_density(z))
                 pr = np.exp(m.retain.log_density(z))
-                return pf * np.abs(pr - est.density(z))
+                return pf * np.abs(pr - est.density(z)[0])
 
             lo, hi = integration_window(m, T)
             exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=quadrature_seeds(m, T))
-            f = forget_error(est, m, 50_000, np.random.default_rng(13))
+            (f,) = forget_error(est, 50_000, np.random.default_rng(13))
             assert abs(f.value - exact) <= 3 * f.std_err + FP_GUARD
