@@ -1,10 +1,10 @@
 """The shared numeric formulas, written once.
 
-Every layer above funnels through these: the Gaussian log-densities behind
+Every layer above funnels through these: the Gaussian log-density behind
 each component and mixture, the overflow-safe sigmoid, softplus and log
-sigmoid behind the classifiers and the tinylm head, the Monte Carlo
-(mean, standard error) pair that every estimate reports, and the guard on
-every temperature.  This module
+sigmoid behind the classifiers and the tinylm head, the logistic loss that
+both trainers minimize, the Monte Carlo (mean, standard error) pair that
+every estimate reports, and the guard on every temperature.  This module
 imports nothing from the package, so any module may use it without a cycle.
 """
 
@@ -20,13 +20,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 def gauss_logpdf(z, mu, v):
     """ln N(mu, v)(z), elementwise."""
     return -0.5 * (LOG_2PI + np.log(v)) - np.square(z - mu) / (2.0 * v)
-
-
-def mix2_gauss_logpdf(z, log_wr, mu_r, v_r, log_wf, mu_f, v_f):
-    """ln of a two-Gaussian mixture with log-weights log_wr, log_wf."""
-    a = log_wr + gauss_logpdf(z, mu_r, v_r)
-    b = log_wf + gauss_logpdf(z, mu_f, v_f)
-    return np.logaddexp(a, b)
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -47,6 +40,12 @@ def softplus(t: np.ndarray) -> np.ndarray:
 def log_sigmoid(t: np.ndarray) -> np.ndarray:
     """ln sigmoid(t) = -softplus(-t)."""
     return -softplus(-t)
+
+
+def logistic_loss(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean logistic loss of logits t against 0/1 labels s,
+    mean(softplus(t) - s*t), and sigmoid(t) for its gradient."""
+    return float(np.mean(softplus(t) - s * t)), sigmoid(t)
 
 
 def mean_se(terms: np.ndarray) -> tuple[float, float]:

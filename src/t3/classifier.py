@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from ._kernels import as_array, log_sigmoid, mean_se, sigmoid, softplus
+from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid
 from .dist import Mixture, UniformComponent
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
@@ -69,10 +69,9 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class QuadClassifier:
-    """sigmoid(w0 + w1*z + w2*z^2) with an L2 penalty coefficient."""
+    """sigmoid(w0 + w1*z + w2*z^2)."""
 
     weights: np.ndarray
-    lam: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -132,10 +131,11 @@ Classifier = Union[QuadClassifier, PiecewiseClassifier]
 
 
 def _objective(w, X, s, lam):
-    """Smooth regularized cross-entropy: mean softplus(t) - s*t + lam*|w|^2."""
+    """Smooth regularized cross-entropy: the mean logistic loss plus
+    lam*|w|^2."""
     t = X @ w
-    value = float(np.mean(softplus(t) - s * t) + lam * (w @ w))
-    sig = sigmoid(t)
+    loss, sig = logistic_loss(t, s)
+    value = float(loss + lam * (w @ w))
     grad = X.T @ (sig - s) / t.size + 2.0 * lam * w
     return value, grad, sig
 
@@ -188,7 +188,7 @@ def _train(data: LabeledDataset, lam: float):
         raise TrainingError(
             f"gradient norm {gnorm:.3e} > {FAIL_GRAD:.0e} after optimizer stop"
         )
-    return QuadClassifier(weights=w, lam=lam), history
+    return QuadClassifier(weights=w), history
 
 
 def train(data: LabeledDataset, lam: float) -> QuadClassifier:
@@ -200,8 +200,8 @@ def train(data: LabeledDataset, lam: float) -> QuadClassifier:
     :class:`TrainingError` if the gradient is still above FAIL_GRAD there,
     or is not finite (z^2 overflowed).
     """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     clf, _ = _train(data, lam)
     return clf
 
@@ -264,6 +264,14 @@ def witness_classifier(
         retain_value=1.0,
         forget_value=eps,
     )
+
+
+def witness_instance(gamma: float, delta: float) -> tuple[Mixture, PiecewiseClassifier]:
+    """The lower-bound equality instance: the gamma-mixture of U(2, 3)
+    (retain) and U(0, 1) (forget), and its witness classifier at excess
+    risk delta."""
+    m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+    return m, witness_classifier(delta, gamma, m.retain.support(), m.forget.support())
 
 
 def estimate_excess_risk(

@@ -50,6 +50,7 @@ def _float_type(what: str, ok):
 _temperature = _float_type("a finite temperature >= 1", lambda x: 1.0 <= x < math.inf)
 _positive_float = _float_type("a finite number > 0", lambda x: 0.0 < x < math.inf)
 _nonnegative_float = _float_type("a finite number >= 0", lambda x: 0.0 <= x < math.inf)
+_fraction = _float_type("a number in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -109,14 +110,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify_lb(args) -> int:
     from .bounds import thm3_forget_lower_bound
-    from .classifier import witness_classifier
-    from .dist import Mixture, UniformComponent
+    from .classifier import witness_instance
     from .estimator import build
     from .metrics import closed_form_errors, forget_error
 
     gamma, delta = args.gamma, args.delta
-    m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-    wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
+    m, wit = witness_instance(gamma, delta)
     retain_cf, forget_cf = closed_form_errors(m, wit)
     lb = thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
     rng = np.random.default_rng(args.seed)
@@ -202,8 +201,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-lb", help="check the lower-bound equality instance")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--gamma", type=_fraction, required=True)
+    p.add_argument("--delta", type=_positive_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_lb)
 

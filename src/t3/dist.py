@@ -144,16 +144,6 @@ class Mixture:
 
     def log_density(self, z):
         z = as_array(z)
-        if self.is_gaussian:
-            return _kernels.mix2_gauss_logpdf(
-                z,
-                math.log1p(-self.gamma),
-                float(self.retain.mean),
-                float(self.retain.variance),
-                math.log(self.gamma),
-                float(self.forget.mean),
-                float(self.forget.variance),
-            )
         a = math.log1p(-self.gamma) + self.retain.log_density(z)
         b = math.log(self.gamma) + self.forget.log_density(z)
         return np.logaddexp(a, b)

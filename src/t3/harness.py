@@ -32,9 +32,9 @@ from .classifier import (
     cross_entropy_terms,
     estimate_excess_risk,
     train,
-    witness_classifier,
+    witness_instance,
 )
-from .dist import GaussianComponent, Mixture, UniformComponent
+from .dist import GaussianComponent, Mixture
 from .estimator import build
 from .metrics import forget_error, retain_error
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ValueError("lambda_search_trials must be >= 1")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
+        for lam in self.lambda_grid:
+            if not 0.0 <= lam < math.inf:
+                raise ValueError(f"lambda_grid values must be finite and >= 0, got {lam}")
         for v_f in (*self.v_f_grid, self.v_f):
             self.mixture(v_f)  # the component and mixture guards name a bad value
 
@@ -402,76 +405,53 @@ def soundness_reports_for_classifier(
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta_up=delta_up, pf_inf=pf_inf)
 
-    est = build(m, clf, [1.0])
-    (ret,) = retain_error(est, config.n_mc, rng)
-    (fog,) = forget_error(est, config.n_mc, rng)
+    def rows(T: float, suffix: str, row_inputs: dict, forget_bound: float) -> list:
+        # the retain, forget and partition rows of the T-tempered estimator;
+        # thm5 at T = 1 is thm1 itself
+        est = build(m, clf, [T])
+        (ret,) = retain_error(est, config.n_mc, rng)
+        (fog,) = forget_error(est, config.n_mc, rng)
+        return [
+            bounds_mod.BoundReport(
+                bound_name="retain_upper" + suffix,
+                inputs=row_inputs,
+                bound_value=bounds_mod.thm5_retain_bound(m, delta_up, T),
+                measured_value=ret.value,
+                measured_std_err=ret.std_err,
+            ),
+            bounds_mod.BoundReport(
+                bound_name="forget_upper" + suffix,
+                inputs=row_inputs,
+                bound_value=forget_bound,
+                measured_value=fog.value,
+                measured_std_err=fog.std_err,
+            ),
+            bounds_mod.BoundReport(
+                bound_name="partition_lower" + suffix,
+                inputs=row_inputs,
+                bound_value=est.partitions[0],
+                measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, T),
+                measured_std_err=0.0,
+            ),
+        ]
 
+    untempered = rows(1.0, "", inputs, bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf))
     z_l1 = m.sample(rng, config.n_mc)
     l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
-
-    reports = [
-        bounds_mod.BoundReport(
-            bound_name="retain_upper",
-            inputs=inputs,
-            bound_value=bounds_mod.thm1_retain_bound(delta_up, m.gamma),
-            measured_value=ret.value,
-            measured_std_err=ret.std_err,
-        ),
-        bounds_mod.BoundReport(
-            bound_name="forget_upper",
-            inputs=inputs,
-            bound_value=bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf),
-            measured_value=fog.value,
-            measured_std_err=fog.std_err,
-        ),
+    reports = untempered[:2] + [
         bounds_mod.BoundReport(
             bound_name="classifier_l1_upper",
             inputs=inputs,
             bound_value=bounds_mod.lemma1_l1_bound(delta_up),
             measured_value=l1,
             measured_std_err=l1_se,
-        ),
-        bounds_mod.BoundReport(
-            bound_name="partition_lower",
-            inputs=inputs,
-            bound_value=est.partitions[0],
-            measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, 1.0),
-            measured_std_err=0.0,
-        ),
-    ]
-
+        )
+    ] + untempered[2:]
     if tempered_t is not None:
         t_val = float(tempered_t)
-        est_t = build(m, clf, [t_val])
-        (ret_t,) = retain_error(est_t, config.n_mc, rng)
-        (fog_t,) = forget_error(est_t, config.n_mc, rng)
-        t_inputs = dict(inputs, T=t_val)
-        reports.append(
-            bounds_mod.BoundReport(
-                bound_name="retain_upper_tempered",
-                inputs=t_inputs,
-                bound_value=bounds_mod.thm5_retain_bound(m, delta_up, t_val),
-                measured_value=ret_t.value,
-                measured_std_err=ret_t.std_err,
-            )
-        )
-        reports.append(
-            bounds_mod.BoundReport(
-                bound_name="forget_upper_tempered",
-                inputs=t_inputs,
-                bound_value=bounds_mod.thm4_forget_bound(m, delta_up, t_val),
-                measured_value=fog_t.value,
-                measured_std_err=fog_t.std_err,
-            )
-        )
-        reports.append(
-            bounds_mod.BoundReport(
-                bound_name="partition_lower_tempered",
-                inputs=t_inputs,
-                bound_value=est_t.partitions[0],
-                measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, t_val),
-                measured_std_err=0.0,
-            )
+        reports += rows(
+            t_val, "_tempered", dict(inputs, T=t_val),
+            bounds_mod.thm4_forget_bound(m, delta_up, t_val),
         )
     return reports
 
@@ -513,8 +493,7 @@ def run_soundness_sweep(
         rng = np.random.default_rng(derive_seed(config.base_seed, 91, i))
         gamma = float(rng.uniform(0.05, 0.5))
         delta = float(10.0 ** rng.uniform(-4.0, -1.0))
-        m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-        wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
+        m, wit = witness_instance(gamma, delta)
         (fog,) = forget_error(build(m, wit, [1.0]), config.n_mc, rng)
         lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
         reports.append(

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequen
 
 import numpy as np
 
-from ._kernels import check_temperature, sigmoid, softplus
+from ._kernels import check_temperature, logistic_loss, sigmoid
 
 BOS = -1  # context padding sentinel, never a real token id
 SPLITS = ("retain", "forget", "ra", "wf")
@@ -251,11 +251,8 @@ def train_head(
 
     def objective(a_m, b_m):
         logits_full = feats @ a_m.T @ b_m.T  # (n, |V|)
-        t = logits_full[rows, y_idx]
-        value = float(np.mean(softplus(t) - s * t)) + lam * (
-            float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m))
-        )
-        sig = sigmoid(t)
+        loss, sig = logistic_loss(logits_full[rows, y_idx], s)
+        value = loss + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
         g_logit = np.zeros((n, v))
         g_logit[rows, y_idx] = (sig - s) / n
         p = feats @ a_m.T  # (n, h)
@@ -295,15 +292,15 @@ def tilted_next_token(
     """Next-token distribution proportional to P(y|x)^(1/T) * g(x)_y with the
     head clamped to [1e-12, 1].
 
-    T == 1 multiplies the raw row directly (no pow), so a constant head
-    cancels exactly in the renormalization and the output reproduces the
-    base distribution bit for bit.
+    At T = 1 the exponent is exactly 1.0 and IEEE pow(x, 1.0) returns x
+    exactly, so a constant head cancels in the renormalization and the
+    output reproduces the base distribution bit for bit.
     """
     check_temperature(T)
     ids = lm._ctx_ids(context)
     row = lm._row(ids)
     g = np.clip(head.scores(ids), HEAD_CLAMP, 1.0)
-    w = row * g if T == 1.0 else row ** (1.0 / T) * g
+    w = row ** (1.0 / T) * g
     return w / w.sum()
 
 

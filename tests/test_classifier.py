@@ -22,6 +22,7 @@ from t3.classifier import (
     quadratic_features,
     train,
     witness_classifier,
+    witness_instance,
 )
 from t3.dist import GaussianComponent, Mixture, UniformComponent, integration_window, quadrature, quadrature_seeds
 
@@ -80,8 +81,9 @@ class TestTrain:
             train(d, 1e-3)
 
     def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            train(_dataset(DEFAULT, 10, 0), -1.0)
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+                train(_dataset(DEFAULT, 10, 0), lam)
 
 
 class TestLoss:
@@ -99,7 +101,7 @@ class TestLoss:
         z = np.array([-1.0, 0.0, 0.5, 1.5, 3.0])
         s = np.array([0, 1, 1, 0, 1])
         w = np.array([0.2, -0.4, 0.1])
-        clf = QuadClassifier(weights=w, lam=0.05)
+        clf = QuadClassifier(weights=w)
         total = 0.0
         for zi, si in zip(z, s):
             p = 1.0 / (1.0 + math.exp(-(w[0] + w[1] * zi + w[2] * zi * zi)))
@@ -178,9 +180,8 @@ class TestWitness:
         assert eps[2] < 2e-5
 
     def test_mc_excess_risk_matches_delta(self):
-        gamma, delta = 0.1, 0.01
-        m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-        wit = witness_classifier(delta, gamma, (2.0, 3.0), (0.0, 1.0))
+        delta = 0.01
+        m, wit = witness_instance(0.1, delta)
         d_hat, se = estimate_excess_risk(wit, m, indicator_classifier(m), 10**5, np.random.default_rng(5))
         assert abs(d_hat - delta) <= 3 * se + 1e-3
 

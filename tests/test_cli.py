@@ -88,6 +88,13 @@ def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers
         ("tinylm", "--epochs", "0"),
         ("tinylm", "--order", "0"),
         ("tinylm", "--order", "3"),
+        ("verify-lb", "--gamma", "0"),
+        ("verify-lb", "--gamma", "1"),
+        ("verify-lb", "--gamma", "nan"),
+        ("verify-lb", "--delta", "0"),
+        ("verify-lb", "--delta", "-1"),
+        ("verify-lb", "--delta", "nan"),
+        ("verify-lb", "--delta", "inf"),
     ],
 )
 def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value):
@@ -96,6 +103,8 @@ def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value
         "--temperature": "must be a finite temperature >= 1",
         "--smoothing": "must be a finite number > 0",
         "--head-lambda": "must be a finite number >= 0",
+        "--gamma": "must be a number in (0, 1)",
+        "--delta": "must be a finite number > 0",
     }.get(option, "must be an integer >= 1")
     if (command, option) == ("bounds", "--trials"):  # bounds has no --trials option
         message = f"unrecognized arguments: --trials {value}"

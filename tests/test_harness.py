@@ -174,7 +174,8 @@ class TestConfig:
         [{"t_grid": (1.0, float("nan"))}, {"t_grid": (float("inf"),)}, {"n_mc": 1},
          {"n_mc_risk": 1}, {"lambda_search_trials": 0}, {"lambda_grid": ()}, {"t_grid": ()},
          {"v_f_grid": ()}, {"n_grid": ()}, {"gamma": 1.5}, {"v_f_grid": (1e-3, 0.0)},
-         {"v_f": -1.0}],
+         {"v_f": -1.0}, {"lambda_grid": (-1e-3,)}, {"lambda_grid": (float("nan"),)},
+         {"lambda_grid": (1e-3, float("inf"))}],
     )
     def test_rejects_out_of_domain_fields(self, bad):
         with pytest.raises(ValueError):
@@ -282,6 +283,31 @@ class TestSoundnessSweep:
         tempered = [r for r in reports if r.bound_name.endswith("_tempered")]
         assert len(tempered) == 9  # three rows per classifier
         assert all(r.sound for r in tempered)
+
+    def test_rows_in_order_and_tempering_leaves_the_untempered_rows(self):
+        from t3.bounds import thm1_retain_bound
+        from t3.classifier import LabeledDataset, train
+        from t3.harness import soundness_reports_for_classifier
+
+        cfg = replace(FAST, n_mc=2_000, n_mc_risk=2_000)
+        m = cfg.mixture(1e-2)
+        clf = train(LabeledDataset.from_mixture(m, 100, np.random.default_rng(3)), 1e-3)
+
+        def reports(tempered_t):
+            rng = np.random.default_rng(derive_seed(cfg.base_seed, 96))
+            return soundness_reports_for_classifier(cfg, m, clf, rng, tempered_t=tempered_t)
+
+        plain, tempered = reports(None), reports(1.5)
+        # the order the benchmark's bounds gate checks, row by row
+        names = ["retain_upper", "forget_upper", "classifier_l1_upper", "partition_lower",
+                 "retain_upper_tempered", "forget_upper_tempered", "partition_lower_tempered"]
+        assert [r.bound_name for r in tempered] == names
+        assert [r.bound_name for r in plain] == names[:4]
+        for a, b in zip(plain, tempered):
+            assert (a.bound_value, a.measured_value, a.measured_std_err, a.inputs) == (
+                b.bound_value, b.measured_value, b.measured_std_err, b.inputs)
+        retain = plain[0]
+        assert retain.bound_value == thm1_retain_bound(retain.inputs["delta_up"], m.gamma)
 
     def test_oracle_classifier_trivially_sound(self):
         # the exact posterior has zero excess risk and zero errors, so every
