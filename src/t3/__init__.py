@@ -14,7 +14,6 @@ from .classifier import (
     TrainingError,
     bayes_classifier,
     estimate_excess_risk,
-    imbalance_corrected_tilt,
     train,
     witness_classifier,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "witness_classifier",
     "train",
     "estimate_excess_risk",
-    "imbalance_corrected_tilt",
     "T3Estimator",
     "build",
     "ErrorEstimate",

@@ -23,13 +23,10 @@ def gauss_logpdf(z, mu, v):
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-t), overflow-safe on both tails."""
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    """1 / (1 + e^-t), overflow-safe on both tails: with e = e^-|t|, the
+    t >= 0 branch is 1 / (1 + e) and the t < 0 branch e / (1 + e)."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(t: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Quadratic-feature logistic regression over the univariate mixture (features
 [1, z, z^2]), the closed-form posterior classifier for Gaussian mixtures,
-the risk-saturating piecewise witness for disjoint uniform supports,
-Monte Carlo excess-risk estimation, and the class-imbalance-corrected tilt.
+the risk-saturating piecewise witness for disjoint uniform supports, and
+Monte Carlo excess-risk estimation.
 """
 
 from __future__ import annotations
@@ -207,11 +207,14 @@ def train(data: LabeledDataset, lam: float) -> QuadClassifier:
 
 
 def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
-    """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)), with the
-    prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP]."""
+    """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)) for 0/1
+    labels s, with the prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP].
+    Each sample takes the one log its label selects."""
     p = np.clip(clf.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
-    s = np.asarray(s, dtype=np.float64)
-    return -s * np.log(p) - (1.0 - s) * np.log1p(-p)
+    retain = np.asarray(s) == 1
+    out = np.log(p, out=np.empty_like(p), where=retain)
+    np.log1p(-p, out=out, where=~retain)
+    return np.negative(out, out=out)
 
 
 def bayes_classifier(m: Mixture) -> QuadClassifier:
@@ -288,21 +291,3 @@ def estimate_excess_risk(
     """
     z, s = m.sample_labeled(rng, n_mc)
     return mean_se(cross_entropy_terms(clf, z, s) - cross_entropy_terms(bayes, z, s))
-
-
-def imbalance_corrected_tilt(clf_mu: Classifier, mu: float, gamma: float, z) -> np.ndarray:
-    """Tilt factor restoring consistency when the training data carried
-    forget fraction mu instead of the population gamma:
-
-        tilt(z) = mu * f(z) / ((mu - gamma) * f(z) + gamma * (1 - mu))
-
-    Multiplying p(z) by this recovers p_r up to normalization when f is the
-    mu-mixture posterior; at mu == gamma it is proportional to f itself.
-    """
-    if not (0.0 < mu < 1.0 and 0.0 < gamma < 1.0):
-        raise ValueError("mu and gamma must lie in (0, 1)")
-    f = clf_mu.predict(z)
-    denom = (mu - gamma) * f + gamma * (1.0 - mu)
-    if np.any(denom <= 0.0):
-        raise ValueError("tilt denominator <= 0: classifier output escaped [0, 1]")
-    return mu * f / denom

@@ -200,11 +200,11 @@ def main(argv=None) -> int:
     )
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify-lb", help="check the lower-bound equality instance")
-    p.add_argument("--gamma", type=_fraction, required=True)
-    p.add_argument("--delta", type=_positive_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_lb)
+    verify_lb = sub.add_parser("verify-lb", help="check the lower-bound equality instance")
+    verify_lb.add_argument("--gamma", type=_fraction, required=True)
+    verify_lb.add_argument("--delta", type=_positive_float, required=True)
+    verify_lb.add_argument("--seed", type=int, default=0)
+    verify_lb.set_defaults(func=_cmd_verify_lb)
 
     p = sub.add_parser("tinylm", help="run the tabular-LM unlearning demo")
     p.add_argument("--corpus", default=None, help="corpus TSV path")
@@ -219,6 +219,16 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_tinylm)
 
     args = parser.parse_args(argv)
+    # each of gamma and delta can be in range while the pair is not: the
+    # lower bound needs gamma < 1 - 1e-12, and the witness's forget value
+    # 1 - exp(-delta/gamma) rounds to 1 once delta/gamma exceeds ~37
+    if args.func is _cmd_verify_lb and not (
+        args.gamma < 1.0 - 1e-12 and -math.expm1(-args.delta / args.gamma) < 1.0
+    ):
+        verify_lb.error(
+            f"--gamma {args.gamma!r} and --delta {args.delta!r} admit no witness instance: "
+            "it needs gamma < 1 - 1e-12 and 1 - exp(-delta/gamma) < 1"
+        )
     return args.func(args)
 
 

@@ -219,10 +219,10 @@ class SweepTable:
 # risk / lambda search
 # ---------------------------------------------------------------------------
 
-def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> tuple[float, float]:
-    """MC estimate of the population cross-entropy of clf under the mixture."""
+def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> float:
+    """MC mean of the population cross-entropy of clf under the mixture."""
     z, s = m.sample_labeled(rng, n_mc)
-    return mean_se(cross_entropy_terms(clf, z, s))
+    return float(np.mean(cross_entropy_terms(clf, z, s)))
 
 
 def _lambda_cell(args) -> list[float]:
@@ -238,7 +238,7 @@ def _lambda_cell(args) -> list[float]:
         rng = np.random.default_rng(seed)
         try:
             clf = train(LabeledDataset.from_mixture(m, n, rng), lam)
-            risks.append(population_risk(clf, m, config.n_mc_risk, rng)[0])
+            risks.append(population_risk(clf, m, config.n_mc_risk, rng))
         except Exception as exc:
             raise RuntimeError(
                 f"lambda-search fit {trial} at lambda[{li}] = {lam!r} of stream {stream_tag} "

@@ -9,7 +9,9 @@ base model's BOS-padded ids; the table looks its row up by them and the head,
 which holds only its two weight matrices, scores their pooled one-hot
 ``feature``.  The metric stack (truth ratio, KS-based forget quality, ROUGE-L
 recall, length-normalized probability, harmonic-mean utilities) scores the
-result against a retain-only retrained reference.
+result against a retain-only retrained reference.  A report evaluates each
+distinct context once per model: a next-token row depends on the context only
+through its ids.
 
 Corpus file format: one document per line,
 ``split<TAB>question<TAB>answer<TAB>paraphrase<TAB>pert1|pert2|...``
@@ -249,35 +251,41 @@ def train_head(
     n = len(stream)
     rows = np.arange(n)
 
-    def objective(a_m, b_m):
-        logits_full = feats @ a_m.T @ b_m.T  # (n, |V|)
-        loss, sig = logistic_loss(logits_full[rows, y_idx], s)
-        value = loss + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
+    def loss(a_m, b_m):
+        """The objective at (a_m, b_m), with the hidden activations p and the
+        sigmoids sig that its gradient reuses."""
+        p = feats @ a_m.T  # (n, h)
+        logits_full = p @ b_m.T  # (n, |V|)
+        loss_value, sig = logistic_loss(logits_full[rows, y_idx], s)
+        value = loss_value + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
+        return value, p, sig
+
+    def gradient(a_m, b_m, p, sig):
         g_logit = np.zeros((n, v))
         g_logit[rows, y_idx] = (sig - s) / n
-        p = feats @ a_m.T  # (n, h)
         grad_b = g_logit.T @ p + 2.0 * lam * b_m
         grad_a = (g_logit @ b_m).T @ feats + 2.0 * lam * a_m
-        return value, grad_a, grad_b
+        return grad_a, grad_b
 
-    value, grad_a, grad_b = objective(a, b)
+    # trial steps only need the loss; the gradient is taken once per epoch,
+    # at the point the previous epoch accepted
+    value, p, sig = loss(a, b)
     step = 1.0
     for _ in range(epochs):
+        grad_a, grad_b = gradient(a, b, p, sig)
         slope = -(float(np.sum(grad_a * grad_a)) + float(np.sum(grad_b * grad_b)))
         if slope > -1e-18:
             break
         step *= 4.0  # let the accepted step grow; backtracking reins it in
-        accepted = False
         for _bt in range(80):
             a_new = a - step * grad_a
             b_new = b - step * grad_b
-            v_new, ga_new, gb_new = objective(a_new, b_new)
+            v_new, p_new, sig_new = loss(a_new, b_new)
             if v_new <= value + 1e-4 * step * slope:
-                a, b, value, grad_a, grad_b = a_new, b_new, v_new, ga_new, gb_new
-                accepted = True
+                a, b, value, p, sig = a_new, b_new, v_new, p_new, sig_new
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
     return HeadClassifier(a, b)
 
@@ -451,6 +459,20 @@ def evaluate_split(
     return float(np.mean(probs)), float(np.mean(rouges)), float(np.mean(trps))
 
 
+def _per_context(lm: TabularLM, next_dist: Callable[[Sequence[str]], np.ndarray]):
+    """``next_dist`` evaluated once per distinct ``lm._ctx_ids(context)``,
+    the ids its row depends on; later calls return the stored row."""
+    rows: Dict[tuple[int, ...], np.ndarray] = {}
+
+    def memo(context: Sequence[str]) -> np.ndarray:
+        ids = lm._ctx_ids(context)
+        if ids not in rows:
+            rows[ids] = next_dist(context)
+        return rows[ids]
+
+    return memo
+
+
 def unlearning_report(
     lm: TabularLM,
     head: HeadClassifier,
@@ -459,10 +481,13 @@ def unlearning_report(
     reference_lm: TabularLM,
 ) -> dict:
     """Full metric table for the tilted model against the base model and the
-    retain-only retrained reference."""
-    tilted = ModelView(lm.vocab, lambda context: tilted_next_token(lm, head, context, T))
-    base = ModelView(lm.vocab, lm.next_dist)
-    reference = ModelView(reference_lm.vocab, reference_lm.next_dist)
+    retain-only retrained reference.  Each of the three models evaluates a
+    context once per report; nothing is kept between reports."""
+    tilted = ModelView(
+        lm.vocab, _per_context(lm, lambda context: tilted_next_token(lm, head, context, T))
+    )
+    base = ModelView(lm.vocab, _per_context(lm, lm.next_dist))
+    reference = ModelView(reference_lm.vocab, _per_context(reference_lm, reference_lm.next_dist))
 
     per_split = {}
     for split in ("retain", "ra", "wf"):

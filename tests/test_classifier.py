@@ -1,5 +1,5 @@
-"""Training, the closed-form posterior, the witness, excess risk, and the
-imbalance-corrected tilt."""
+"""Training, the closed-form posterior, the witness, the cross-entropy terms
+and excess risk."""
 
 import math
 
@@ -17,7 +17,6 @@ from t3.classifier import (
     bayes_classifier,
     cross_entropy_terms,
     estimate_excess_risk,
-    imbalance_corrected_tilt,
     indicator_classifier,
     quadratic_features,
     train,
@@ -238,41 +237,3 @@ class TestLemma1Property:
             l1, l1_se = mean_se(np.abs(bayes.predict(z) - clf.predict(z)))
             bound = math.sqrt(max(d_hat + 3 * d_se, 0.0) / 2.0)
             assert l1 <= bound + 3 * l1_se
-
-
-class TestImbalanceCorrectedTilt:
-    def test_mu_equals_gamma_proportional_to_f(self):
-        clf = QuadClassifier(weights=np.array([0.3, 0.7, -0.2]))
-        z = np.linspace(-3, 3, 41)
-        tilt = imbalance_corrected_tilt(clf, 0.1, 0.1, z)
-        f = clf.predict(z)
-        ratio = tilt / f
-        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
-
-    def test_exact_posterior_recovers_retain_density(self):
-        # data observed at forget fraction mu != population gamma
-        gamma, mu = 0.1, 0.4
-        m = Mixture(gamma, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 0.5))
-        m_mu = Mixture(mu, m.retain, m.forget)
-        f_mu = bayes_classifier(m_mu)
-
-        def unnorm(z):
-            return imbalance_corrected_tilt(f_mu, mu, gamma, z) * m.density(z)
-
-        lo, hi = integration_window(m)
-        seeds = quadrature_seeds(m)
-        norm = quadrature(unnorm, lo, hi, tol=1e-10, breakpoints=seeds)
-        z = np.linspace(-4, 5, 101)
-        np.testing.assert_allclose(
-            unnorm(z) / norm, np.exp(m.retain.log_density(z)), atol=1e-8
-        )
-
-    def test_zero_classifier_output_gives_zero_tilt(self):
-        clf = PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), retain_value=1.0, forget_value=0.0)
-        tilt = imbalance_corrected_tilt(clf, 0.3, 0.1, np.array([0.5]))
-        assert tilt[0] == 0.0
-
-    def test_rejects_bad_proportions(self):
-        clf = QuadClassifier(weights=np.zeros(3))
-        with pytest.raises(ValueError):
-            imbalance_corrected_tilt(clf, 0.0, 0.1, np.array([0.0]))

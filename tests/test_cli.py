@@ -49,6 +49,8 @@ def _assert_rejected(capsys, tmp_path, command, option, value, message):
     """Argparse exits with code 2 and prints ``message`` before any output."""
     if command == "tinylm":
         out = ["--write-demo", str(tmp_path / "corpus.tsv")]
+    elif command == "verify-lb":  # the option under test overrides one of these
+        out = ["--gamma", "0.1", "--delta", "0.01"]
     else:
         out = ["--out", str(tmp_path)]
     with pytest.raises(SystemExit) as info:
@@ -95,6 +97,8 @@ def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers
         ("verify-lb", "--delta", "-1"),
         ("verify-lb", "--delta", "nan"),
         ("verify-lb", "--delta", "inf"),
+        ("verify-lb", "--delta", "4"),  # in range alone, not with --gamma 0.1
+        ("verify-lb", "--gamma", "0.9999999999999"),  # in (0, 1), above 1 - 1e-12
     ],
 )
 def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value):
@@ -108,6 +112,10 @@ def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value
     }.get(option, "must be an integer >= 1")
     if (command, option) == ("bounds", "--trials"):  # bounds has no --trials option
         message = f"unrecognized arguments: --trials {value}"
+    elif (command, value) == ("verify-lb", "4"):
+        message = "--gamma 0.1 and --delta 4.0 admit no witness instance"
+    elif (command, value) == ("verify-lb", "0.9999999999999"):
+        message = "--gamma 0.9999999999999 and --delta 0.01 admit no witness instance"
     elif option == "--order":
         message = f"argument --order: invalid choice: {value} (choose from 1, 2)"
     else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from t3 import tinylm as tl
+from t3._kernels import logistic_loss
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,11 @@ def _zero_head(v, order, hidden):
 def trained_head(corpus, lm):
     stream = tl.head_training_stream(corpus, 2)
     return tl.train_head(lm, stream, lam=1e-4, epochs=100, rng=np.random.default_rng(0), hidden=16)
+
+
+@pytest.fixture(scope="module")
+def reference(corpus):
+    return tl.fit_lm(corpus.docs("retain") + corpus.docs("ra") + corpus.docs("wf"), 2, 1e-3, corpus.vocab)
 
 
 class TestCorpus:
@@ -154,6 +160,61 @@ class TestHead:
         retain_preds = [score(c, y) for c, y, s in stream if s == 1 and c]
         assert max(forget_preds) < 0.1
         assert min(retain_preds) > 0.9
+
+
+def _eager_train_head(lm, stream, lam, epochs, rng, hidden):
+    """The head trainer written the direct way: loss and gradient together at
+    every trial step, accepted or not.  Returns (A, B)."""
+    v = len(lm.vocab)
+    a = rng.normal(0.0, 0.3, size=(hidden, v * lm.order))
+    b = rng.normal(0.0, 0.3, size=(v, hidden))
+    feats = np.stack([tl.feature(lm._ctx_ids(ctx), v) for ctx, _, _ in stream])
+    y_idx = np.array([lm.token_id[y] for _, y, _ in stream])
+    s = np.array([float(lbl) for _, _, lbl in stream])
+    n = len(stream)
+    rows = np.arange(n)
+
+    def objective(a_m, b_m):
+        logits_full = feats @ a_m.T @ b_m.T
+        loss, sig = logistic_loss(logits_full[rows, y_idx], s)
+        value = loss + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
+        g_logit = np.zeros((n, v))
+        g_logit[rows, y_idx] = (sig - s) / n
+        p = feats @ a_m.T
+        grad_b = g_logit.T @ p + 2.0 * lam * b_m
+        grad_a = (g_logit @ b_m).T @ feats + 2.0 * lam * a_m
+        return value, grad_a, grad_b
+
+    value, grad_a, grad_b = objective(a, b)
+    step = 1.0
+    for _ in range(epochs):
+        slope = -(float(np.sum(grad_a * grad_a)) + float(np.sum(grad_b * grad_b)))
+        if slope > -1e-18:
+            break
+        step *= 4.0
+        accepted = False
+        for _bt in range(80):
+            a_new = a - step * grad_a
+            b_new = b - step * grad_b
+            v_new, ga_new, gb_new = objective(a_new, b_new)
+            if v_new <= value + 1e-4 * step * slope:
+                a, b, value, grad_a, grad_b = a_new, b_new, v_new, ga_new, gb_new
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return a, b
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_head_matches_the_eager_gradient_loop_bitwise(corpus, lm, seed):
+    # train_head takes the gradient only at accepted points; the weights it
+    # returns must be the eager loop's, bit for bit
+    stream = tl.head_training_stream(corpus, 2)
+    head = tl.train_head(lm, stream, lam=1e-4, epochs=100, rng=np.random.default_rng(seed), hidden=16)
+    a, b = _eager_train_head(lm, stream, 1e-4, 100, np.random.default_rng(seed), 16)
+    assert head.a.tobytes() == a.tobytes() and head.b.tobytes() == b.tobytes()
 
 
 class TestTiltedNextToken:
@@ -359,13 +420,35 @@ class TestUnlearningBehavior:
         ]
         assert sum(unchanged) / len(unchanged) >= 0.9
 
-    def test_report_runs_end_to_end(self, corpus, lm, trained_head):
-        reference = tl.fit_lm(
-            corpus.docs("retain") + corpus.docs("ra") + corpus.docs("wf"), 2, 1e-3, corpus.vocab
-        )
+    def test_report_runs_end_to_end(self, corpus, lm, trained_head, reference):
         rep = tl.unlearning_report(lm, trained_head, corpus, 2.0, reference)
         assert 0.0 <= rep["forget_quality"] <= 1.0
         assert 0.0 <= rep["model_utility"] <= 1.0
         assert rep["mu_rouge"] == 1.0
         assert rep["min_forget_prob_reduction"] >= 10.0
         assert rep["retain_greedy_unchanged"] >= 0.9
+
+    def test_report_evaluates_each_context_once_per_model(
+        self, corpus, lm, trained_head, reference, monkeypatch
+    ):
+        calls = []
+        tilted, untilted = tl.tilted_next_token, tl.TabularLM.next_dist
+
+        def counted_tilted(lm_, head, context, T):
+            calls.append(("tilted", lm_._ctx_ids(context)))
+            return tilted(lm_, head, context, T)
+
+        def counted_next_dist(self, context):
+            calls.append((id(self), self._ctx_ids(context)))
+            return untilted(self, context)
+
+        monkeypatch.setattr(tl, "tilted_next_token", counted_tilted)
+        monkeypatch.setattr(tl.TabularLM, "next_dist", counted_next_dist)
+        first = tl.unlearning_report(lm, trained_head, corpus, 2.0, reference)
+        n_first = len(calls)
+        assert n_first and len(set(calls)) == n_first
+        assert {model for model, _ in calls} == {"tilted", id(lm), id(reference)}
+        # nothing carries over: a second report evaluates the same contexts
+        # again and gives the same table
+        assert tl.unlearning_report(lm, trained_head, corpus, 2.0, reference) == first
+        assert calls[n_first:] == calls[:n_first]
