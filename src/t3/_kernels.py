@@ -22,11 +22,20 @@ def gauss_logpdf(z, mu, v):
     return -0.5 * (LOG_2PI + np.log(v)) - np.square(z - mu) / (2.0 * v)
 
 
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-t), overflow-safe on both tails: with e = e^-|t|, the
-    t >= 0 branch is 1 / (1 + e) and the t < 0 branch e / (1 + e)."""
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """1 / (1 + e^-t) for a float64 array t, overflow-safe on both tails:
+    with e = e^-|t| it is where(t >= 0, 1, e) / (1 + e), one division.  The
+    numerator is formed as max(t >= 0, e), exact because 0 <= e <= 1 (and a
+    NaN propagates).  ``out`` (which may be ``t`` itself) receives the
+    result and ``scratch``, an array like t, holds e; either is allocated
+    when not given, so with both the call allocates nothing."""
+    e = np.abs(t, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.greater_equal(t, 0.0, out=np.empty_like(e) if out is None else out)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def softplus(t: np.ndarray) -> np.ndarray:
@@ -46,10 +55,18 @@ def logistic_loss(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def mean_se(terms: np.ndarray) -> tuple[float, float]:
-    """Monte Carlo mean of iid ``terms`` and its standard error (ddof = 1)."""
-    if terms.size < 2:
-        raise ValueError(f"a standard error needs at least 2 draws, got {terms.size}")
-    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(terms.size))
+    """Monte Carlo mean of iid ``terms`` and its standard error (ddof = 1),
+    bitwise np.mean(terms) and np.std(terms, ddof=1) / sqrt(n): one sum
+    gives the mean, and the deviations are squared in their own buffer."""
+    terms = np.asarray(terms, dtype=np.float64)
+    n = terms.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {n}")
+    mean = np.add.reduce(terms, axis=None) / n
+    dev = np.subtract(terms, mean)
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=None) / (n - 1)
+    return float(mean), float(np.sqrt(var) / math.sqrt(n))
 
 
 def as_array(z) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid
-from .dist import Mixture, UniformComponent
+from .dist import DrawBuffers, Mixture, UniformComponent
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
 
@@ -77,15 +77,24 @@ class QuadClassifier:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (3,):
             raise ValueError("weights must be a 3-vector over [1, z, z^2]")
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w}")
         object.__setattr__(self, "weights", w)
 
-    def _logit(self, z) -> np.ndarray:
+    def _logit(self, z, out=None) -> np.ndarray:
+        """w0 + z * (w1 + z * w2), into ``out`` when given."""
         z = as_array(z)
         w0, w1, w2 = self.weights
-        return w0 + z * (w1 + z * w2)
+        t = np.multiply(z, w2, out=out)
+        t += w1
+        np.multiply(z, t, out=t)
+        t += w0
+        return t
 
-    def predict(self, z) -> np.ndarray:
-        return sigmoid(self._logit(z))
+    def predict(self, z, out=None, scratch=None) -> np.ndarray:
+        """sigmoid of the logit, into ``out``; ``scratch`` as in sigmoid."""
+        t = self._logit(z, out)
+        return sigmoid(t, out=t, scratch=scratch)
 
     def log_predict(self, z) -> np.ndarray:
         return log_sigmoid(self._logit(z))
@@ -114,9 +123,12 @@ class PiecewiseClassifier:
         if not 0.0 <= self.forget_value < 1.0:
             raise ValueError("forget_value must lie in [0, 1)")
 
-    def predict(self, z) -> np.ndarray:
+    def predict(self, z, out=None, scratch=None) -> np.ndarray:
+        """The piecewise values, into ``out`` when given (``scratch`` is
+        unused; it keeps the QuadClassifier call shape)."""
         z = as_array(z)
-        out = np.zeros_like(z)
+        out = np.empty_like(z) if out is None else out
+        out.fill(0.0)
         rlo, rhi = self.retain_support
         flo, fhi = self.forget_support
         out[(z >= rlo) & (z <= rhi)] = self.retain_value
@@ -206,15 +218,19 @@ def train(data: LabeledDataset, lam: float) -> QuadClassifier:
     return clf
 
 
-def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
+def cross_entropy_terms(clf: Classifier, z, s, out=None, scratch=None) -> np.ndarray:
     """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)) for 0/1
     labels s, with the prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP].
-    Each sample takes the one log its label selects."""
-    p = np.clip(clf.predict(z), PRED_CLAMP, 1.0 - PRED_CLAMP)
-    retain = np.asarray(s) == 1
-    out = np.log(p, out=np.empty_like(p), where=retain)
-    np.log1p(-p, out=out, where=~retain)
-    return np.negative(out, out=out)
+    Both logs are taken over the whole array and each sample keeps the one
+    its label selects.  ``out`` receives the terms and ``scratch``, an array
+    like z, is overwritten; either is allocated when not given."""
+    p = clf.predict(z, out=out, scratch=scratch)
+    np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
+    log_q = np.negative(p, out=scratch)
+    np.log1p(log_q, out=log_q)
+    np.log(p, out=p)
+    np.copyto(log_q, p, where=np.asarray(s, dtype=bool))
+    return np.negative(log_q, out=p)
 
 
 def bayes_classifier(m: Mixture) -> QuadClassifier:
@@ -289,5 +305,8 @@ def estimate_excess_risk(
     Returns (delta_hat, std_err).  The population value is nonnegative, so
     delta_hat should not fall below -3 std_err up to MC noise.
     """
-    z, s = m.sample_labeled(rng, n_mc)
-    return mean_se(cross_entropy_terms(clf, z, s) - cross_entropy_terms(bayes, z, s))
+    work = DrawBuffers.empty(n_mc)
+    z, s = m.sample_labeled(rng, n_mc, out=work)
+    terms = cross_entropy_terms(clf, z, s, out=work.u, scratch=work.z_r)
+    terms -= cross_entropy_terms(bayes, z, s, scratch=work.z_r)
+    return mean_se(terms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,11 @@ class GaussianComponent:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not 0.0 < self.variance < math.inf:
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        # 2*pi*v is the scale of the density's normalizer, so it must be finite too
+        if not (0.0 < self.variance and 2.0 * math.pi * self.variance < math.inf):
+            raise ValueError(
+                f"variance must be positive with 2*pi*variance finite, got {self.variance}"
+            )
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -48,8 +51,13 @@ class GaussianComponent:
         z = as_array(z)
         return _kernels.gauss_logpdf(z, float(self.mean), float(self.variance))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mean, math.sqrt(self.variance), size=n)
+    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws, into ``out`` when given; bitwise rng.normal(mean, sd, n)."""
+        out = _draw_buffer(n, out)
+        rng.standard_normal(out=out)
+        out *= math.sqrt(self.variance)
+        out += self.mean
+        return out
 
     def entropy(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e * self.variance)
@@ -82,8 +90,12 @@ class UniformComponent:
     hi: float
 
     def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        # the width and the density 1 / width must both be finite
+        if not (-math.inf < self.lo < self.hi < math.inf
+                and 0.0 < 1.0 / (self.hi - self.lo) < math.inf):
+            raise ValueError(
+                f"need finite lo < hi with a finite width and density, got [{self.lo}, {self.hi}]"
+            )
 
     def density(self, z):
         z = as_array(z)
@@ -95,8 +107,13 @@ class UniformComponent:
         inside = (z >= self.lo) & (z <= self.hi)
         return np.where(inside, -math.log(self.hi - self.lo), -math.inf)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=n)
+    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws, into ``out`` when given; bitwise rng.uniform(lo, hi, n)."""
+        out = _draw_buffer(n, out)
+        rng.random(out=out)
+        out *= self.hi - self.lo
+        out += self.lo
+        return out
 
     def entropy(self) -> float:
         return math.log(self.hi - self.lo)
@@ -119,6 +136,29 @@ class UniformComponent:
 
 
 Component = Union[GaussianComponent, UniformComponent]
+
+
+def _draw_buffer(n: int, out):
+    if out is None:
+        return np.empty(n)
+    if out.shape != (n,) or out.dtype != np.float64:
+        raise ValueError(f"need a float64 buffer of shape ({n},), got {out.dtype} {out.shape}")
+    return out
+
+
+class DrawBuffers(NamedTuple):
+    """Caller-owned arrays of one length n that Mixture.sample_labeled draws
+    into: the label uniforms, n draws from each component and the retain
+    mask.  Once z is assembled (in z_f), u and z_r are free for reuse."""
+
+    u: np.ndarray
+    z_r: np.ndarray
+    z_f: np.ndarray
+    s: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int) -> "DrawBuffers":
+        return cls(np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -151,14 +191,19 @@ class Mixture:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sample_labeled(rng, n)[0]
 
-    def sample_labeled(self, rng: np.random.Generator, n: int):
+    def sample_labeled(self, rng: np.random.Generator, n: int, out: Optional[DrawBuffers] = None):
         """Draw (z, s) pairs: the label s ~ Bernoulli(1 - gamma) first
-        (s = 1 means retain), then z from the labeled component."""
-        s = (rng.random(n) < 1.0 - self.gamma).astype(np.int64)
-        z_r = self.retain.sample(rng, n)
-        z_f = self.forget.sample(rng, n)
-        z = np.where(s == 1, z_r, z_f)
-        return z, s
+        (s True means retain), then z from the labeled component.  Both
+        components draw n values and z keeps the labeled one.  The draws go
+        into ``out`` when given (z is returned in out.z_f, s is out.s), else
+        into fresh DrawBuffers; the bits are the same either way."""
+        u, z_r, z_f, s = DrawBuffers.empty(n) if out is None else out
+        rng.random(out=_draw_buffer(n, u))
+        np.less(u, 1.0 - self.gamma, out=s)
+        self.retain.sample(rng, n, out=z_r)
+        self.forget.sample(rng, n, out=z_f)
+        np.copyto(z_f, z_r, where=s)
+        return z_f, s
 
 
 def integration_window(m: Mixture, T: float = 1.0) -> tuple[float, float]:

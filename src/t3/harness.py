@@ -5,7 +5,9 @@ A sweep with workers > 1 opens one process pool for all its groups.  The
 pool first runs the lambda-search cells (one per group and lambda-grid
 index); the parent picks each group's lambda from their risks, and the same
 pool then runs every trial of every group.  With one worker nothing is
-spawned and the same cell and trial functions run in-process.
+spawned and the same cell and trial functions run in-process.  A cell's
+fits draw and score their population risk in one reused workspace
+(``dist.DrawBuffers``), with the same bits as fresh arrays.
 
 Determinism contract: every trial derives its rng stream from
 splitmix64(base_seed, stream tag, trial index), and every lambda-search fit
@@ -34,7 +36,7 @@ from .classifier import (
     train,
     witness_instance,
 )
-from .dist import GaussianComponent, Mixture
+from .dist import DrawBuffers, GaussianComponent, Mixture
 from .estimator import build
 from .metrics import forget_error, retain_error
 
@@ -219,10 +221,20 @@ class SweepTable:
 # risk / lambda search
 # ---------------------------------------------------------------------------
 
-def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> float:
-    """MC mean of the population cross-entropy of clf under the mixture."""
-    z, s = m.sample_labeled(rng, n_mc)
-    return float(np.mean(cross_entropy_terms(clf, z, s)))
+def population_risk(
+    clf, m: Mixture, n_mc: int, rng: np.random.Generator, work: Optional[DrawBuffers] = None
+) -> float:
+    """MC mean of the population cross-entropy of clf under the mixture.
+
+    The sample is drawn into ``work`` (DrawBuffers.empty(n_mc) when None)
+    and scored in its spent uniform and retain-draw arrays, so a caller that
+    reuses one workspace allocates nothing n_mc-sized per call; the result
+    is bit-identical to fresh arrays."""
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
+    work = DrawBuffers.empty(n_mc) if work is None else work
+    z, s = m.sample_labeled(rng, n_mc, out=work)
+    return float(np.mean(cross_entropy_terms(clf, z, s, out=work.u, scratch=work.z_r)))
 
 
 def _lambda_cell(args) -> list[float]:
@@ -232,13 +244,14 @@ def _lambda_cell(args) -> list[float]:
     config, v_f, n, stream_tag, li = args
     m = config.mixture(v_f)
     lam = config.lambda_grid[li]
+    work = DrawBuffers.empty(config.n_mc_risk)  # every fit draws and scores in it
     risks = []
     for trial in range(config.lambda_search_trials):
         seed = derive_seed(config.base_seed, stream_tag, 1_000 + li, trial)
         rng = np.random.default_rng(seed)
         try:
             clf = train(LabeledDataset.from_mixture(m, n, rng), lam)
-            risks.append(population_risk(clf, m, config.n_mc_risk, rng))
+            risks.append(population_risk(clf, m, config.n_mc_risk, rng, work))
         except Exception as exc:
             raise RuntimeError(
                 f"lambda-search fit {trial} at lambda[{li}] = {lam!r} of stream {stream_tag} "

@@ -39,30 +39,47 @@ def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
     the grid (common random numbers).  Works in log densities throughout so
     sharp peaks cannot overflow; ln f is floored at ln PRED_CLAMP, keeping
     every term finite on the retain support.  The terms are formed one T at
-    a time, so no (T x n_mc) block is held."""
+    a time in one buffer (the spent sample), so no (T x n_mc) block is held."""
     m = e.mixture
     z = m.retain.sample(rng, n_mc)
     log_pr = m.retain.log_density(z)
     log_p = m.log_density(z)
-    log_f = np.maximum(e.classifier.log_predict(z), LOG_CLAMP)
-    return [
-        ErrorEstimate(*mean_se(log_pr - (log_p / T + log_f - math.log(partition))), n_mc)
-        for T, partition in zip(e.temperatures, e.partitions)
-    ]
+    log_f = e.classifier.log_predict(z)
+    np.maximum(log_f, LOG_CLAMP, out=log_f)
+    terms = z
+    estimates = []
+    for T, partition in zip(e.temperatures, e.partitions):
+        # log_pr - (log_p / T + log_f - ln Z_T), in that operation order
+        np.divide(log_p, T, out=terms)
+        terms += log_f
+        terms -= math.log(partition)
+        np.subtract(log_pr, terms, out=terms)
+        estimates.append(ErrorEstimate(*mean_se(terms), n_mc))
+    return estimates
 
 
 def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
     """MC estimate of E_{p_f} |p_r(z) - p_hat(z)| at every temperature of
-    ``e``, over one sample z ~ p_f shared across the grid, one T at a time."""
+    ``e``, over one sample z ~ p_f shared across the grid, one T at a time
+    in one buffer."""
     m = e.mixture
     z = m.forget.sample(rng, n_mc)
-    p_r = np.exp(m.retain.log_density(z))
+    p_r = m.retain.log_density(z)
+    np.exp(p_r, out=p_r)
     log_p = m.log_density(z)
     f = e.classifier.predict(z)
-    return [
-        ErrorEstimate(*mean_se(np.abs(p_r - np.exp(log_p / T) * f / partition)), n_mc)
-        for T, partition in zip(e.temperatures, e.partitions)
-    ]
+    terms = z
+    estimates = []
+    for T, partition in zip(e.temperatures, e.partitions):
+        # |p_r - exp(log_p / T) * f / Z_T|, in that operation order
+        np.divide(log_p, T, out=terms)
+        np.exp(terms, out=terms)
+        terms *= f
+        terms /= partition
+        np.subtract(p_r, terms, out=terms)
+        np.abs(terms, out=terms)
+        estimates.append(ErrorEstimate(*mean_se(terms), n_mc))
+    return estimates
 
 
 def closed_form_errors(m: Mixture, clf: PiecewiseClassifier) -> tuple[float, float]:

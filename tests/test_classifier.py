@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t3._kernels import mean_se
 from t3.classifier import (
+    PRED_CLAMP,
     LabeledDataset,
     PiecewiseClassifier,
     QuadClassifier,
@@ -79,6 +82,28 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             train(d, 1e-3)
 
+    # On data at the mixture's scale, with any labels and admissible lam,
+    # training returns finite weights; one overflowing z (z^2 = inf) makes the
+    # gradient non-finite, and only then does it raise TrainingError.  Far off
+    # that scale the absolute FAIL_GRAD can fail on finite gradients: at
+    # |z| ~ 1e3 with lam = 0, separable data run to MAX_ITER and stop at a
+    # gradient norm of 3.9e-4 after ~10 s (noted in CHANGES.md).
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+        labels=st.lists(st.integers(0, 1), min_size=41, max_size=41),
+        lam=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+        overflow=st.one_of(st.none(), st.floats(1.4e154, 1e308), st.floats(-1e308, -1.4e154)),
+    )
+    def test_weights_are_finite_or_the_gradient_was_not(self, z, labels, lam, overflow):
+        z = z + ([] if overflow is None else [overflow])
+        d = LabeledDataset(z=np.array(z), s=np.array(labels[: len(z)]))
+        if overflow is None:
+            assert np.isfinite(train(d, lam).weights).all()
+        else:
+            with np.errstate(all="ignore"), pytest.raises(TrainingError, match="norm (nan|inf) "):
+                train(d, lam)
+
     def test_rejects_negative_lambda(self):
         for lam in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
@@ -112,6 +137,48 @@ class TestLoss:
             total / 5.0 + 0.05 * float(w @ w),
             rtol=1e-14,
         )
+
+
+def _masked_cross_entropy(clf, z, s):
+    # the former formula: the two-division sigmoid of the left-to-right logit
+    # (or the piecewise values), clamped, then each log taken under a mask
+    if isinstance(clf, QuadClassifier):
+        w0, w1, w2 = clf.weights
+        t = w0 + z * (w1 + z * w2)
+        e = np.exp(-np.abs(t))
+        p = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    else:
+        p = clf.predict(z)
+    p = np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    retain = np.asarray(s) == 1
+    out = np.log(p, out=np.empty_like(p), where=retain)
+    np.log1p(-p, out=out, where=~retain)
+    return np.negative(out, out=out)
+
+
+class TestCrossEntropyBits:
+    @pytest.mark.parametrize(
+        "clf",
+        [
+            QuadClassifier(weights=np.array([0.3, -1.2, 0.8])),
+            QuadClassifier(weights=np.array([-5.0, 400.0, -90.0])),  # saturates: the clamp acts
+            witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0)),
+            PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), retain_value=0.7, forget_value=0.0),
+        ],
+    )
+    def test_matches_masked_formula(self, clf):
+        rng = np.random.default_rng(8)
+        z = rng.uniform(-1.0, 4.0, 4_001)
+        s = (rng.random(z.size) < 0.6).astype(np.int64)
+        ref = _masked_cross_entropy(clf, z, s)
+        np.testing.assert_array_equal(cross_entropy_terms(clf, z, s), ref)
+        # bool labels, caller buffers, and the inputs left alone
+        z_copy = z.copy()
+        out, scratch = np.empty_like(z), np.empty_like(z)
+        terms = cross_entropy_terms(clf, z, s.astype(bool), out=out, scratch=scratch)
+        assert terms is out
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(z, z_copy)
 
 
 class TestGradient:
@@ -163,6 +230,19 @@ class TestBayesClassifier:
         m = Mixture(0.1, UniformComponent(2, 3), UniformComponent(0, 1))
         with pytest.raises(TypeError):
             bayes_classifier(m)
+
+    def test_rejects_a_forget_variance_whose_weight_overflows(self):
+        # a valid mixture, but w2 = 1 / (2 v_f) = inf
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-320))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            bayes_classifier(m)
+
+    @pytest.mark.parametrize(
+        "w", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]]
+    )
+    def test_classifier_rejects_nonfinite_weights(self, w):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            QuadClassifier(weights=np.array(w))
 
 
 class TestWitness:

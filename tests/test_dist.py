@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from t3.dist import (
     MAX_EVALUATIONS,
+    DrawBuffers,
     GaussianComponent,
     Mixture,
     QuadratureError,
@@ -60,6 +63,52 @@ class TestSampling:
         a = m.sample(np.random.default_rng(123), 1000)
         b = m.sample(np.random.default_rng(123), 1000)
         np.testing.assert_array_equal(a, b)
+
+    # The buffer samplers rely on these numpy facts: rng.normal(mu, sd, n) is
+    # mu + sd * standard_normal and rng.uniform(lo, hi, n) is lo + (hi - lo) *
+    # random, element for element, from the same stream.  A numpy build where
+    # either fails would move every sample's bits.
+    @pytest.mark.parametrize(
+        "comp, direct",
+        [
+            (GaussianComponent(-0.7, 2.3), lambda rng, n: rng.normal(-0.7, math.sqrt(2.3), n)),
+            (GaussianComponent(3e5, 1e-9), lambda rng, n: rng.normal(3e5, math.sqrt(1e-9), n)),
+            (UniformComponent(-1.5, 4.25), lambda rng, n: rng.uniform(-1.5, 4.25, n)),
+            (UniformComponent(1e3, 1e3 + 1e-6), lambda rng, n: rng.uniform(1e3, 1e3 + 1e-6, n)),
+        ],
+    )
+    def test_buffer_draws_match_numpy_samplers(self, comp, direct):
+        n = 10_001
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        buf = np.empty(n)
+        assert comp.sample(a, n, out=buf) is buf
+        np.testing.assert_array_equal(buf, direct(b, n))
+        np.testing.assert_array_equal(comp.sample(a, n), direct(b, n))
+        assert a.random() == b.random()  # the stream advanced alike
+
+    def test_sample_labeled_matches_fresh_array_formula(self):
+        m = Mixture(0.3, GaussianComponent(1.0, 0.5), UniformComponent(-2.0, 0.0))
+        n = 5_000
+        z, s = m.sample_labeled(np.random.default_rng(4), n)
+        rng = np.random.default_rng(4)
+        s_ref = rng.random(n) < 0.7
+        z_r, z_f = rng.normal(1.0, math.sqrt(0.5), n), rng.uniform(-2.0, 0.0, n)
+        np.testing.assert_array_equal(s, s_ref)
+        np.testing.assert_array_equal(z, np.where(s_ref, z_r, z_f))
+        # into caller buffers: the same bits, returned in those buffers
+        work = DrawBuffers.empty(n)
+        z_b, s_b = m.sample_labeled(np.random.default_rng(4), n, out=work)
+        assert z_b is work.z_f and s_b is work.s
+        np.testing.assert_array_equal(z_b, z)
+        np.testing.assert_array_equal(s_b, s)
+
+    def test_buffers_of_the_wrong_size_are_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(10,\)"):
+            GaussianComponent(0.0, 1.0).sample(np.random.default_rng(0), 10, out=np.empty(9))
+        with pytest.raises(ValueError, match=r"shape \(10,\)"):
+            Mixture(0.5, GaussianComponent(0.0, 1.0), GaussianComponent(1.0, 1.0)).sample_labeled(
+                np.random.default_rng(0), 10, out=DrawBuffers.empty(12)
+            )
 
     def test_moment_match_within_standard_errors(self):
         g = GaussianComponent(-0.5, 2.3)
@@ -269,3 +318,70 @@ class TestMixtureInvariants:
         lo1, hi1 = integration_window(m, 1.0)
         lo3, hi3 = integration_window(m, 3.0)
         assert lo3 < lo1 and hi3 > hi1
+
+
+# Any float at all, NaN, infinities and subnormals included.
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+TEMPERATURES = st.floats(1.0, 1e6)
+
+
+def _finite(*values):
+    return all(np.isfinite(v).all() for v in values)
+
+
+def _check_component(c, T):
+    """A built component has finite outputs near its center, a finite
+    sample and peak density, and tempers to a finite constant (or names why
+    it cannot)."""
+    center = c.mean if isinstance(c, GaussianComponent) else 0.5 * (c.lo + c.hi)
+    z = np.array([center - 0.5 * c.stddev(), center, center + 0.5 * c.stddev()])
+    assert _finite(c.log_density(z), c.sample(np.random.default_rng(0), 64), c.peak_density())
+    try:
+        tempered, constant = c.temper(T)
+    except ValueError:
+        return
+    assert _finite(constant, tempered.peak_density())
+
+
+class TestConstructorProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(mean=ANY_FLOAT, variance=ANY_FLOAT, T=TEMPERATURES)
+    @example(mean=0.0, variance=1e308, T=1.5)  # 2*pi*v overflows the normalizer
+    @example(mean=1e308, variance=5e-324, T=2.0)
+    def test_gaussian_is_finite_or_named_error(self, mean, variance, T):
+        try:
+            c = GaussianComponent(mean, variance)
+        except ValueError as exc:
+            assert "mean" in str(exc) or "variance" in str(exc)
+            return
+        _check_component(c, T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=ANY_FLOAT, hi=ANY_FLOAT, T=TEMPERATURES)
+    @example(lo=0.0, hi=5e-324, T=2.0)  # the density 1 / width overflows
+    @example(lo=-1e308, hi=1e308, T=2.0)  # the width overflows
+    def test_uniform_is_finite_or_named_error(self, lo, hi, T):
+        try:
+            c = UniformComponent(lo, hi)
+        except ValueError as exc:
+            assert "lo < hi" in str(exc)
+            return
+        _check_component(c, T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=ANY_FLOAT,
+        params=st.tuples(*[st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)] * 2),
+        uniform_forget=st.booleans(),
+    )
+    def test_mixture_is_finite_or_named_error(self, gamma, params, uniform_forget):
+        mu_r, v_r, x_f, w_f = params
+        forget = UniformComponent(x_f, x_f + w_f) if uniform_forget else GaussianComponent(x_f, w_f)
+        try:
+            m = Mixture(gamma, GaussianComponent(mu_r, v_r), forget)
+        except ValueError as exc:
+            assert "gamma" in str(exc)
+            return
+        centers = np.array([mu_r, x_f + 0.5 * w_f if uniform_forget else x_f])
+        z, s = m.sample_labeled(np.random.default_rng(1), 64)
+        assert _finite(m.log_density(centers), z) and s.dtype == bool

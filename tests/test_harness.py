@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from t3.classifier import QuadClassifier, cross_entropy_terms, witness_classifier
+from t3.dist import DrawBuffers, GaussianComponent, Mixture, UniformComponent
 from t3.emit import emit, write_csv
 from t3.harness import (
     CSV_HEADER,
@@ -21,6 +24,7 @@ from t3.harness import (
     derive_seed,
     lambda_search,
     load_config,
+    population_risk,
     run_experiment1,
     run_experiment2,
     run_soundness_sweep,
@@ -204,6 +208,64 @@ class TestLambdaSearch:
         a = lambda_search(FAST, 1e-3, 40, stream_tag=3)
         b = lambda_search(FAST, 1e-3, 40, stream_tag=3)
         assert a == b
+
+
+class TestPopulationRisk:
+    MIXTURES = [
+        Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3)),
+        Mixture(0.3, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0)),
+    ]
+    CLASSIFIERS = [
+        QuadClassifier(weights=np.array([0.4, -1.5, 2.0])),
+        witness_classifier(0.01, 0.3, (2.0, 3.0), (0.0, 1.0)),
+    ]
+
+    @staticmethod
+    def fresh(clf, m, n, seed):
+        z, s = m.sample_labeled(np.random.default_rng(seed), n)
+        return float(np.mean(cross_entropy_terms(clf, z, s)))
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_matches_the_fresh_array_mean(self, case):
+        m, clf = self.MIXTURES[case], self.CLASSIFIERS[case]
+        for n, seed in ((1, 0), (7, 1), (20_000, 2)):
+            risk = population_risk(clf, m, n, np.random.default_rng(seed))
+            assert risk == self.fresh(clf, m, n, seed)
+
+    def test_a_reused_workspace_gives_the_fresh_values(self):
+        # the lambda search scores all its fits in one workspace; each call
+        # must redraw every buffer, whichever call came before
+        n = 5_000
+        pairs = zip(self.MIXTURES, self.CLASSIFIERS)
+        calls = [(clf, m, seed) for m, clf in pairs for seed in (3, 4)]
+        expected = [self.fresh(clf, m, n, seed) for clf, m, seed in calls]
+        for order in (calls, calls[::-1]):
+            work = DrawBuffers.empty(n)
+            got = [
+                population_risk(clf, m, n, np.random.default_rng(seed), work)
+                for clf, m, seed in order
+            ]
+            assert got == [expected[calls.index(c)] for c in order]
+
+    def test_a_warm_call_allocates_under_one_float_array(self):
+        # the risk draws and scores in its workspace: its peak traced
+        # allocation stays below one float64 array of n_mc (8 n_mc bytes)
+        n = 100_000
+        m, clf = self.MIXTURES[0], self.CLASSIFIERS[0]
+        work = DrawBuffers.empty(n)
+        population_risk(clf, m, n, np.random.default_rng(0), work)
+        tracemalloc.start()
+        try:
+            population_risk(clf, m, n, np.random.default_rng(1), work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_rejects_fewer_than_one_draw(self, n_mc):
+        with pytest.raises(ValueError, match=f"n_mc must be >= 1, got {n_mc}"):
+            population_risk(self.CLASSIFIERS[0], self.MIXTURES[0], n_mc, np.random.default_rng(0))
 
 
 class TestSweepTable:

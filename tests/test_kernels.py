@@ -1,6 +1,8 @@
-"""Properties of the shared sigmoid, softplus and log-sigmoid formulas."""
+"""Properties of the shared sigmoid, softplus and log-sigmoid formulas, and
+the bits of sigmoid and mean_se against the formulas they replace."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,3 +29,34 @@ def test_log_sigmoid_is_negated_softplus_and_finite(t):
     assert np.all(np.isfinite(sp) & (sp >= np.maximum(t, 0.0)))
     assert np.all(np.isfinite(log_s) & (log_s <= 0.0))
     np.testing.assert_array_equal(log_s, -K.softplus(-t))
+
+
+def _two_division_sigmoid(t):
+    # the former formula: 1 / (1 + e) for t >= 0 and e / (1 + e) below
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_bits_match_the_two_division_form():
+    special = np.array([0.0, 1e-300, 745.0, 1e308, np.inf])
+    t = np.concatenate([special, -special, np.random.default_rng(3).normal(scale=20.0, size=500)])
+    ref = _two_division_sigmoid(t).view(np.uint64)
+    np.testing.assert_array_equal(K.sigmoid(t).view(np.uint64), ref)
+    # into caller buffers, and in place over t itself
+    out, scratch = np.empty_like(t), np.empty_like(t)
+    assert K.sigmoid(t, out=out, scratch=scratch) is out
+    np.testing.assert_array_equal(out.view(np.uint64), ref)
+    in_place = t.copy()
+    K.sigmoid(in_place, out=in_place, scratch=scratch)
+    np.testing.assert_array_equal(in_place.view(np.uint64), ref)
+    assert np.isnan(K.sigmoid(np.array([np.nan]))[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 100_001])
+def test_mean_se_bits_match_numpy(n):
+    terms = np.random.default_rng(n).lognormal(sigma=2.0, size=n) - 1.0
+    copy = terms.copy()
+    mean, se = K.mean_se(terms)
+    assert mean == float(np.mean(terms))
+    assert se == float(np.std(terms, ddof=1) / np.sqrt(n))
+    np.testing.assert_array_equal(terms, copy)  # the input is left alone
