@@ -134,8 +134,9 @@ def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
         # the tau-tempered oracle density (one row per tau) and ln p, with
         # ln p reported as 0 where the density vanishes (off uniform
         # supports ln p = -inf, and 0 * inf would be NaN)
-        d = oracle.density(z)
-        return d, np.where(d > 0.0, m.log_density(z), 0.0)
+        lp = m.log_density(z)
+        d = oracle.density(z, lp)
+        return d, np.where(d > 0.0, lp, 0.0)
 
     def wpf2(z):
         return oracle_rows(z)[0] * np.exp(2.0 * m.forget.log_density(z))

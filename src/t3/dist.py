@@ -262,6 +262,10 @@ def quadrature(
     with Richardson extrapolation of the accepted panels.  A panel is
     accepted only once its error estimate meets the budget in every row, so
     a one-row block integrates exactly as the same 1-d integrand does.
+    ``f`` is called once for the pieces' ends and midpoints, then once per
+    refinement level, at the left and right quarter points of every open
+    panel together, so a quadrature that stops after L levels makes 1 + L
+    calls.
 
     Raises :class:`QuadratureError` at the first non-finite integrand value
     (naming its row and point), if any panel is still unconverged after
@@ -282,8 +286,6 @@ def quadrature(
     a[1:] = np.nextafter(a[1:], np.inf)
     b[:-1] = np.nextafter(b[:-1], -np.inf)
     mid = 0.5 * (a + b)
-    fa = f(a)
-    vector = np.ndim(fa) == 2
 
     def block(z, values):
         # every evaluation as a (k, n) block, checked finite
@@ -295,9 +297,10 @@ def quadrature(
             )
         return values
 
-    fa = block(a, fa)
-    fm = block(mid, f(mid))
-    fb = block(b, f(b))
+    z = np.concatenate([a, mid, b])
+    values = f(z)
+    vector = np.ndim(values) == 2
+    fa, fm, fb = np.split(block(z, values), 3, axis=1)
     k = fa.shape[0]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = np.full(n_seg, tol / n_seg)
@@ -313,8 +316,8 @@ def quadrature(
             )
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
-        flm = block(lm, f(lm))
-        frm = block(rm, f(rm))
+        z = np.concatenate([lm, rm])
+        flm, frm = np.split(block(z, f(z)), 2, axis=1)
         left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
         s2 = left + right

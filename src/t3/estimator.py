@@ -48,11 +48,13 @@ class T3Estimator:
                 f"for {len(self.temperatures)}"
             )
 
-    def density(self, z) -> np.ndarray:
+    def density(self, z, log_p=None) -> np.ndarray:
         """p(z)^(1/T) * f(z) / Z as a (k, n) block, one row per T; no
-        clamping."""
+        clamping.  ``log_p``, when given, is ln p(z), already computed by
+        the caller."""
         z = as_array(z)
-        base = np.exp(self.mixture.log_density(z) / np.array(self.temperatures)[:, None])
+        log_p = self.mixture.log_density(z) if log_p is None else log_p
+        base = np.exp(log_p / np.array(self.temperatures)[:, None])
         return base * self.classifier.predict(z) / np.array(self.partitions)[:, None]
 
 

@@ -9,6 +9,10 @@ spawned and the same cell and trial functions run in-process.  A cell's
 fits draw and score their population risk in one reused workspace
 (``dist.DrawBuffers``), with the same bits as fresh arrays.
 
+A trial scores its whole temperature grid on one retain sample and one
+forget sample; a bound-soundness classifier likewise scores T = 1 and the
+tempered temperature, when one is asked for, on one sample of each.
+
 Determinism contract: every trial derives its rng stream from
 splitmix64(base_seed, stream tag, trial index), and every lambda-search fit
 from splitmix64(base_seed, stream tag, 1000 + lambda index, fit index), so
@@ -37,7 +41,7 @@ from .classifier import (
     witness_instance,
 )
 from .dist import DrawBuffers, GaussianComponent, Mixture
-from .estimator import build
+from .estimator import T3Estimator, build
 from .metrics import forget_error, retain_error
 
 SEED_ENV = "T3_SEED"
@@ -116,13 +120,22 @@ _LIST_FIELDS = {"v_f_grid", "n_grid", "t_grid", "lambda_grid"}
 _INT_FIELDS = {"n", "trials", "lambda_search_trials", "n_mc", "n_mc_risk", "base_seed"}
 
 
+def _parse_value(key: str, val: str):
+    if key in _LIST_FIELDS:
+        items = [v.strip() for v in val.split(",") if v.strip()]
+        return tuple((int if key == "n_grid" else float)(v) for v in items)
+    return (int if key in _INT_FIELDS else float)(val)
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read a flat ``key = value`` config file (# comments allowed; list
-    values comma-separated).  Unknown keys are rejected.  The T3_SEED
+    values comma-separated).  An unknown or repeated key, or a value that
+    does not parse, is rejected with the file, line and key.  The T3_SEED
     environment variable, when set, overrides base_seed last."""
     known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     if path is not None:
+        first_line: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -133,16 +146,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in known:
                     raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-                if key in _LIST_FIELDS:
-                    items = [v.strip() for v in val.split(",") if v.strip()]
-                    if key == "n_grid":
-                        values[key] = tuple(int(v) for v in items)
-                    else:
-                        values[key] = tuple(float(v) for v in items)
-                elif key in _INT_FIELDS:
-                    values[key] = int(val)
-                else:
-                    values[key] = float(val)
+                if key in first_line:
+                    raise ValueError(
+                        f"{path}:{line_no}: config key {key!r} repeats line {first_line[key]}"
+                    )
+                first_line[key] = line_no
+                try:
+                    values[key] = _parse_value(key, val)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     if overrides:
         values.update(overrides)
     cfg = ExperimentConfig(**values)
@@ -411,19 +423,29 @@ def soundness_reports_for_classifier(
 ) -> list[bounds_mod.BoundReport]:
     """Measure one classifier's errors and compare them against every bound
     at delta_hat + 3 SE.  ``tempered_t`` adds the tempered-estimator rows at
-    that temperature (quadrature-heavy, so off by default in sweeps)."""
+    that temperature (quadrature-heavy, so off by default in sweeps).
+
+    After the excess-risk draws, one retain sample and one forget sample
+    score T = 1 and ``tempered_t`` together (common random numbers, as in
+    run_trial), and then the L1 sample is drawn, so the untempered rows are
+    the same with or without ``tempered_t``.  Each Z is its own one-row
+    ``build``, for the same reason."""
     bayes = bayes_classifier(m)
     delta_hat, delta_se = estimate_excess_risk(clf, m, bayes, config.n_mc_risk, rng)
     delta_up = delta_hat + 3.0 * delta_se
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta_up=delta_up, pf_inf=pf_inf)
+    temps = (1.0,) if tempered_t is None else (1.0, float(tempered_t))
+    est = T3Estimator(m, clf, temps, tuple(build(m, clf, [T]).partitions[0] for T in temps))
+    retain = retain_error(est, config.n_mc, rng)
+    forget = forget_error(est, config.n_mc, rng)
+    z_l1 = m.sample(rng, config.n_mc)
+    l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
 
-    def rows(T: float, suffix: str, row_inputs: dict, forget_bound: float) -> list:
-        # the retain, forget and partition rows of the T-tempered estimator;
-        # thm5 at T = 1 is thm1 itself
-        est = build(m, clf, [T])
-        (ret,) = retain_error(est, config.n_mc, rng)
-        (fog,) = forget_error(est, config.n_mc, rng)
+    def rows(i: int, suffix: str, row_inputs: dict, forget_bound: float) -> list:
+        # the retain, forget and partition rows at temps[i]; thm5 at T = 1
+        # is thm1 itself
+        T, ret, fog = temps[i], retain[i], forget[i]
         return [
             bounds_mod.BoundReport(
                 bound_name="retain_upper" + suffix,
@@ -442,15 +464,13 @@ def soundness_reports_for_classifier(
             bounds_mod.BoundReport(
                 bound_name="partition_lower" + suffix,
                 inputs=row_inputs,
-                bound_value=est.partitions[0],
+                bound_value=est.partitions[i],
                 measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, T),
                 measured_std_err=0.0,
             ),
         ]
 
-    untempered = rows(1.0, "", inputs, bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf))
-    z_l1 = m.sample(rng, config.n_mc)
-    l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
+    untempered = rows(0, "", inputs, bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf))
     reports = untempered[:2] + [
         bounds_mod.BoundReport(
             bound_name="classifier_l1_upper",
@@ -461,10 +481,9 @@ def soundness_reports_for_classifier(
         )
     ] + untempered[2:]
     if tempered_t is not None:
-        t_val = float(tempered_t)
+        t_val = temps[1]
         reports += rows(
-            t_val, "_tempered", dict(inputs, T=t_val),
-            bounds_mod.thm4_forget_bound(m, delta_up, t_val),
+            1, "_tempered", dict(inputs, T=t_val), bounds_mod.thm4_forget_bound(m, delta_up, t_val)
         )
     return reports
 

@@ -1,6 +1,6 @@
-"""The ``t3 verify-lb`` and ``t3 tinylm`` commands, argument validation, the
-documented command list and the README's library quick start, run
-in-process."""
+"""The ``t3 bounds``, ``t3 verify-lb`` and ``t3 tinylm`` commands, argument
+validation, the documented command list and the README's library quick
+start, run in-process."""
 
 import re
 from pathlib import Path
@@ -13,6 +13,22 @@ from t3 import cli
 def test_verify_lb_equality_instance(capsys):
     assert cli.main(["verify-lb", "--gamma", "0.1", "--delta", "0.01"]) == 0
     assert "equality instance: OK" in capsys.readouterr().out
+
+
+def test_bounds_writes_every_row_in_order_and_sound(capsys, tmp_path):
+    argv = ["bounds", "--classifiers", "1", "--tempered-t", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    path = tmp_path / "bound_reports.csv"
+    assert capsys.readouterr().out == f"wrote {path}: 17 checks, 0 violations\n"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "bound_name,bound_value,measured_value,measured_std_err,sound"
+    # one classifier's rows in the order the benchmark's bounds gate checks,
+    # then the ten witness rows
+    assert [r.split(",")[0] for r in rows] == [
+        "retain_upper", "forget_upper", "classifier_l1_upper", "partition_lower",
+        "retain_upper_tempered", "forget_upper_tempered", "partition_lower_tempered",
+    ] + ["forget_lower_witness"] * 10
+    assert all(r.endswith(",1") for r in rows)
 
 
 def test_tinylm_reports_on_the_demo_corpus(capsys, tmp_path):

@@ -266,12 +266,46 @@ class TestQuadrature:
         calls = []
 
         def rows(z):
-            calls.append(z.size)
+            calls.append(z.copy())
             return np.vstack([np.sin(20.0 * z), np.where(z == 0.625, np.nan, z)])
 
         with pytest.raises(QuadratureError, match=r"returned nan in row 1 at z=0\.625"):
             quadrature(rows, 0.0, 1.0)
-        assert len(calls) == 6  # a, mid, b, level 0's two, then level 1's first
+        # a, mid and b; level 0's quarter points; then level 1's, which hold 0.625
+        assert len(calls) == 3
+        assert 0.625 in calls[-1] and not any(0.625 in z for z in calls[:-1])
+
+    def test_one_call_per_level_and_one_row_equals_1d(self):
+        # on [0, 1] with no breakpoints, level d evaluates f at odd multiples
+        # of 2^-(d + 2), so each call after the first must be one whole level
+        def bump(z):
+            return np.exp(-30.0 * (z - 0.3) ** 2)
+
+        def counted(f):
+            calls = []
+
+            def g(z):
+                calls.append(z.copy())
+                return f(z)
+
+            return g, calls
+
+        flat, calls = counted(bump)
+        q = quadrature(flat, 0.0, 1.0, tol=1e-12)
+        exact = math.sqrt(math.pi / 30.0) / 2.0 * (
+            math.erf(math.sqrt(30.0) * 0.7) + math.erf(math.sqrt(30.0) * 0.3)
+        )
+        np.testing.assert_allclose(q, exact, atol=1e-12)
+        np.testing.assert_array_equal(calls[0], [0.0, 0.5, 1.0])
+        assert len(calls) >= 5  # a multi-level run
+        for d, z in enumerate(calls[1:]):
+            ticks = z * 2.0 ** (d + 2)
+            np.testing.assert_array_equal(ticks % 2.0, 1.0)
+
+        row, row_calls = counted(lambda z: bump(z)[None, :])
+        one = quadrature(row, 0.0, 1.0, tol=1e-12)
+        assert one.shape == (1,) and one[0] == q
+        assert len(row_calls) == len(calls)
 
     def test_breakpoints_resolve_jumps(self):
         q = quadrature(

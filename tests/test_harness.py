@@ -3,6 +3,7 @@ CSV/SVG emission, and cross-worker determinism."""
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -166,6 +167,28 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text("nonsense = 1\n")
         with pytest.raises(ValueError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trials = 3\nn_mc = 1e5\n",
+             r":2: bad value for 'n_mc': invalid literal for int\(\) with base 10: '1e5'$"),
+            ("v_f_grid = 1e-3, abc\n",
+             r":1: bad value for 'v_f_grid': could not convert string to float: 'abc'$"),
+        ],
+    )
+    def test_unparseable_value_names_file_line_and_key(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
+            load_config(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("n_mc = 5\n# again\nn_mc = 7\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: config key 'n_mc' "
+                                             "repeats line 1$"):
             load_config(str(path))
 
     def test_rejects_nonpositive_n(self):
@@ -370,6 +393,33 @@ class TestSoundnessSweep:
                 b.bound_value, b.measured_value, b.measured_std_err, b.inputs)
         retain = plain[0]
         assert retain.bound_value == thm1_retain_bound(retain.inputs["delta_up"], m.gamma)
+
+    def test_tempered_rows_share_the_untempered_samples(self):
+        # common random numbers: after the excess-risk draw, one retain and
+        # one forget sample score T = 1 and the tempered T together
+        from t3.classifier import LabeledDataset, bayes_classifier, estimate_excess_risk, train
+        from t3.estimator import T3Estimator, build
+        from t3.harness import soundness_reports_for_classifier
+        from t3.metrics import forget_error, retain_error
+
+        cfg = replace(FAST, n_mc=2_000, n_mc_risk=2_000)
+        m = cfg.mixture(1e-2)
+        clf = train(LabeledDataset.from_mixture(m, 100, np.random.default_rng(3)), 1e-3)
+        seed = derive_seed(cfg.base_seed, 96)
+        rows = soundness_reports_for_classifier(
+            cfg, m, clf, np.random.default_rng(seed), tempered_t=1.5
+        )
+
+        rng = np.random.default_rng(seed)
+        estimate_excess_risk(clf, m, bayes_classifier(m), cfg.n_mc_risk, rng)
+        partitions = tuple(build(m, clf, [T]).partitions[0] for T in (1.0, 1.5))
+        est = T3Estimator(m, clf, (1.0, 1.5), partitions)
+        replayed = {"retain_upper": retain_error(est, cfg.n_mc, rng),
+                    "forget_upper": forget_error(est, cfg.n_mc, rng)}
+        measured = {r.bound_name: (r.measured_value, r.measured_std_err) for r in rows}
+        for name, (plain, tempered) in replayed.items():
+            assert measured[name] == (plain.value, plain.std_err)
+            assert measured[name + "_tempered"] == (tempered.value, tempered.std_err)
 
     def test_oracle_classifier_trivially_sound(self):
         # the exact posterior has zero excess risk and zero errors, so every
