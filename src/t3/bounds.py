@@ -7,7 +7,7 @@ intermediate temperature tau in [1, T]; absent a constructive choice they
 are evaluated on a tau grid and the grid maximum is returned, which keeps
 them valid upper bounds.
 
-All integrals run through the adaptive-Simpson oracle over the tempered
+All integrals run through the adaptive Gauss-Kronrod oracle over the tempered
 integration window.  A tau grid integrates as one vector-valued quadrature
 with a row per tau.  For the auxiliary exponent integral of the tempered
 forget bound, k = T drives the exponent to zero and the true integral over

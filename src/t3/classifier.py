@@ -147,7 +147,9 @@ def _objective(w, X, s, lam):
     lam*|w|^2."""
     t = X @ w
     loss, sig = logistic_loss(t, s)
-    value = float(loss + lam * (w @ w))
+    # at lam = 0 the penalty is skipped, not 0 * |w|^2: on separable data
+    # |w| grows without bound, and |w|^2 can overflow to inf (0 * inf = nan)
+    value = float(loss + lam * (w @ w)) if lam else float(loss)
     grad = X.T @ (sig - s) / t.size + 2.0 * lam * w
     return value, grad, sig
 

@@ -1,5 +1,5 @@
 """Univariate component densities, their gamma-weighted mixture, analytic
-tempering, exact sampling, and an adaptive-Simpson quadrature oracle.
+tempering, exact sampling, and an adaptive Gauss-Kronrod quadrature oracle.
 
 Two component families are provided: Gaussians (the synthetic-experiment
 world) and uniform intervals (the family on which the forget-error lower
@@ -22,10 +22,36 @@ WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
 MAX_EVALUATIONS = 1_000_000  # integrand values (points x rows) per quadrature
 
+# The Gauss-Kronrod 7/15 pair on [-1, 1], from QUADPACK's dqk15 (Piessens et
+# al., QUADPACK, Springer 1983): the positive Kronrod nodes and their weights,
+# descending to the center node 0, and the Gauss weights on xgk[1], xgk[3],
+# xgk[5] and xgk[7].
+_XGK = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+        0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+        0.207784955007898468, 0.0)
+_WGK = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+        0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+        0.204432940075298892, 0.209482141084727828)
+_WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+       0.417959183673469388)
+
+
+def _gauss_kronrod_15():
+    """The 15 nodes on [-1, 1], ascending, and the (15, 2) weights whose
+    columns give a panel's K15 sum and its K15 - G7 difference."""
+    nodes = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+    kronrod = np.array(_WGK[:-1] + _WGK[::-1])
+    gauss = np.zeros(15)
+    gauss[1::2] = _WG[:-1] + _WG[::-1]
+    return nodes, np.stack([kronrod, kronrod - gauss], axis=1)
+
+
+_GK_NODES, _GK_WEIGHTS = _gauss_kronrod_15()
+
 
 class QuadratureError(RuntimeError):
-    """Adaptive Simpson hit its depth or evaluation limit without converging,
-    or the integrand returned a non-finite value."""
+    """Adaptive Gauss-Kronrod hit its depth or evaluation limit without
+    converging, or the integrand returned a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -232,14 +258,19 @@ def integration_window(m: Mixture, T: float = 1.0) -> tuple[float, float]:
 
 def quadrature_seeds(m: Mixture, T: float = 1.0) -> tuple[float, ...]:
     """Breakpoints that pre-split the integration interval: uniform support
-    edges (where integrands jump) and Gaussian cores (where they spike)."""
+    edges (where integrands jump) and Gaussian cores (where they spike).
+
+    A Gaussian's outer breakpoints sit at +-7 stddev, where the one-sided
+    tail mass is 1.3e-12.  The panel beyond is wide next to a narrow spike,
+    so its nodes may not see the tail at all; at +-6 stddev that tail holds
+    1e-9, more than the default tolerance."""
     pts: list[float] = []
     for c in (m.retain, m.forget):
         if isinstance(c, UniformComponent):
             pts.extend((c.lo, c.hi))
         else:
             s = math.sqrt(T * c.variance)
-            pts.extend((c.mean - 6.0 * s, c.mean - s, c.mean, c.mean + s, c.mean + 6.0 * s))
+            pts.extend((c.mean - 7.0 * s, c.mean - s, c.mean, c.mean + s, c.mean + 7.0 * s))
     return tuple(sorted(pts))
 
 
@@ -250,7 +281,7 @@ def quadrature(
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
 ) -> Union[float, np.ndarray]:
-    """Adaptive composite Simpson integral of f over [lo, hi].
+    """Adaptive Gauss-Kronrod (7/15) integral of f over [lo, hi].
 
     ``f`` is evaluated on whole batches of points: it takes a 1-d float64
     array of n points and returns either a float64 array of shape (n,) or a
@@ -258,85 +289,71 @@ def quadrature(
     integrand returns a float, a 2-d one a (k,) array of the row integrals.
     ``tol`` is the absolute error target of every row.  The interval is
     pre-split at any ``breakpoints`` lying strictly inside (lo, hi); each
-    piece is then refined adaptively, halving its error budget per split,
-    with Richardson extrapolation of the accepted panels.  A panel is
-    accepted only once its error estimate meets the budget in every row, so
-    a one-row block integrates exactly as the same 1-d integrand does.
-    ``f`` is called once for the pieces' ends and midpoints, then once per
-    refinement level, at the left and right quarter points of every open
-    panel together, so a quadrature that stops after L levels makes 1 + L
-    calls.
+    piece is then refined adaptively, halving its error budget per split.
+    A panel's error estimate is |K15 - G7|, the difference of its 15-point
+    Kronrod and embedded 7-point Gauss sums, and a panel closes, adding its
+    K15 sum, only once that estimate meets the budget in every row, so a
+    one-row block integrates exactly as the same 1-d integrand does.  All
+    nodes are strictly inside their panel, so an integrand that jumps at a
+    breakpoint is only ever seen from one side of it.  ``f`` is called once
+    per refinement level, at the 15 nodes of every open panel together, so a
+    quadrature that stops after L levels makes L calls.
 
-    Raises :class:`QuadratureError` at the first non-finite integrand value
-    (naming its row and point), if any panel is still unconverged after
-    MAX_DEPTH subdivisions, or if the next level would take the integrand
-    values (points times rows) past MAX_EVALUATIONS (the depth limit bounds
-    each panel, this cap the number of open ones).
+    Raises ValueError unless ``lo`` and ``hi`` are finite with lo < hi and
+    ``tol`` is finite and positive, before f is called.  Raises
+    :class:`QuadratureError` at the first non-finite integrand value (naming
+    its row and point), if any panel is still unconverged after MAX_DEPTH
+    subdivisions, or if the next call would take the integrand values
+    (points times rows) past MAX_EVALUATIONS (the depth limit bounds each
+    panel, this cap the number of open ones).
     """
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     edges = [lo] + sorted({float(b) for b in breakpoints if lo < b < hi}) + [hi]
     edges = np.asarray(edges, dtype=np.float64)
     n_seg = len(edges) - 1
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    budget = np.full(n_seg, tol / n_seg)
 
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    # Nudge interior edges one ulp inward so integrands with jumps at the
-    # breakpoints (uniform supports) present their one-sided values to Simpson.
-    a[1:] = np.nextafter(a[1:], np.inf)
-    b[:-1] = np.nextafter(b[:-1], -np.inf)
-    mid = 0.5 * (a + b)
-
-    def block(z, values):
-        # every evaluation as a (k, n) block, checked finite
+    total = 0.0
+    rows = 1  # a lower bound until f has been called
+    evaluations = 0
+    for depth in range(MAX_DEPTH + 1):
+        if evaluations + _GK_NODES.size * centers.size * rows > MAX_EVALUATIONS:
+            raise QuadratureError(
+                f"adaptive Gauss-Kronrod would pass {MAX_EVALUATIONS} integrand evaluations "
+                f"at depth {depth} ({centers.size} panels of {rows} rows still open, tol={tol})"
+            )
+        z = (centers[:, None] + halves[:, None] * _GK_NODES).ravel()
+        values = f(z)
+        vector = np.ndim(values) == 2
         values = np.asarray(values, dtype=np.float64).reshape(-1, z.size)
         if not np.isfinite(values).all():
             r, i = np.argwhere(~np.isfinite(values))[0]
             raise QuadratureError(
                 f"integrand returned {values[r, i]} in row {r} at z={float(z[i])!r}"
             )
-        return values
-
-    z = np.concatenate([a, mid, b])
-    values = f(z)
-    vector = np.ndim(values) == 2
-    fa, fm, fb = np.split(block(z, values), 3, axis=1)
-    k = fa.shape[0]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = np.full(n_seg, tol / n_seg)
-
-    total = np.zeros(k)
-    evaluations = 3 * n_seg * k
-    for depth in range(MAX_DEPTH + 1):
-        evaluations += 2 * a.size * k
-        if evaluations > MAX_EVALUATIONS:
-            raise QuadratureError(
-                f"adaptive Simpson would pass {MAX_EVALUATIONS} integrand evaluations "
-                f"at depth {depth} ({a.size} panels of {k} rows still open, tol={tol})"
-            )
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        z = np.concatenate([lm, rm])
-        flm, frm = np.split(block(z, f(z)), 2, axis=1)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = left + right
-        err = (s2 - whole) / 15.0
-        done = (np.abs(err) <= budget).all(axis=0)
-        total += np.sum((s2 + err)[:, done], axis=1)
+        rows = values.shape[0]
+        evaluations += values.size
+        # (rows, panels, 2): each panel's K15 sum and its K15 - G7 difference
+        sums = values.reshape(rows, centers.size, _GK_NODES.size) @ _GK_WEIGHTS * halves[:, None]
+        done = (np.abs(sums[..., 1]) <= budget).all(axis=0)
+        total = total + np.sum(sums[:, done, 0], axis=1)
         if bool(np.all(done)):
             return total if vector else float(total[0])
-        keep = ~done
         # split surviving panels into their two halves
-        a = np.concatenate([a[keep], mid[keep]])
-        b = np.concatenate([mid[keep], b[keep]])
-        fa = np.concatenate([fa[:, keep], fm[:, keep]], axis=1)
-        fb = np.concatenate([fm[:, keep], fb[:, keep]], axis=1)
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[:, keep], frm[:, keep]], axis=1)
-        whole = np.concatenate([left[:, keep], right[:, keep]], axis=1)
+        keep = ~done
+        halves = 0.5 * halves[keep]
+        centers = np.concatenate([centers[keep] - halves, centers[keep] + halves])
+        halves = np.concatenate([halves, halves])
         budget = np.concatenate([budget[keep] * 0.5, budget[keep] * 0.5])
     raise QuadratureError(
-        f"adaptive Simpson did not converge to tol={tol} within {MAX_DEPTH} levels "
-        f"({a.size} panels still open)"
+        f"adaptive Gauss-Kronrod did not converge to tol={tol} within {MAX_DEPTH} levels "
+        f"({centers.size} panels still open)"
     )

@@ -7,7 +7,8 @@ the retain density is
 
 An estimator holds a whole temperature grid, one row per T; one temperature
 is a one-element grid.  At desk scale every Z is computed exactly, by one
-vector-valued adaptive quadrature over the widest tempered window.
+vector-valued adaptive Gauss-Kronrod quadrature over the widest tempered
+window.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from t3._kernels import mean_se
@@ -95,6 +95,8 @@ class TestTrain:
         lam=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
         overflow=st.one_of(st.none(), st.floats(1.4e154, 1e308), st.floats(-1e308, -1.4e154)),
     )
+    # one point, lam = 0: the weights reach ~1e161, so |w|^2 overflows
+    @example(z=[1.2208195839870186e-81], labels=[0] * 41, lam=0.0, overflow=None)
     def test_weights_are_finite_or_the_gradient_was_not(self, z, labels, lam, overflow):
         z = z + ([] if overflow is None else [overflow])
         d = LabeledDataset(z=np.array(z), s=np.array(labels[: len(z)]))

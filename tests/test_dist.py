@@ -21,6 +21,22 @@ from t3.dist import (
 
 STD_NORM_LOGPEAK = -0.9189385332046727  # -ln(2 pi)/2, direct formula
 
+# The Gauss-Kronrod 7/15 pair on [-1, 1] as QUADPACK's dqk15 tabulates it:
+# the positive Kronrod nodes descending to 0, their weights, and the Gauss
+# weights on nodes 1, 3, 5 and 7 of that list.
+_XGK = [0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+        0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+        0.207784955007898468, 0.0]
+_WGK = [0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+        0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+        0.204432940075298892, 0.209482141084727828]
+_WG = [0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+       0.417959183673469388]
+GK_NODES = np.array([-x for x in _XGK[:-1]] + _XGK[::-1])
+GK_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+GK_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                     0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
@@ -220,7 +236,8 @@ class TestQuadrature:
 
     def test_evaluation_cap_bounds_open_panels(self):
         # noise-like at every panel width the depth limit allows, so the depth
-        # limit alone would let it open 2^21 panels (4.2M evaluations)
+        # limit alone would let it open 2^20 panels at its last level (31M
+        # evaluations in all); the cap is checked before each call
         calls = []
 
         def noise(z):
@@ -232,15 +249,24 @@ class TestQuadrature:
         assert sum(calls) <= MAX_EVALUATIONS
 
     def test_value_cap_counts_points_times_rows(self):
-        # one row of sin(1000 z) converges on ~350k points; three rows of it
-        # would take ~1.05M values, past the cap, though each row converges
+        # k rows of an integrand that one row converges on in n points take
+        # k * n values: the largest k within the cap converges, k + 1 rows of
+        # it pass the cap, though each row converges
+        points = []
+
         def rows(k):
-            return lambda z: np.tile(np.sin(1000.0 * z), (k, 1))
+            def f(z):
+                points.append(z.size)
+                return np.tile(np.sin(1000.0 * z), (k, 1))
+
+            return f
 
         one = quadrature(rows(1), 0.0, 1.0, tol=1e-12)
-        np.testing.assert_allclose(quadrature(rows(2), 0.0, 1.0, tol=1e-12), [one[0]] * 2, rtol=1e-12)
+        k = MAX_EVALUATIONS // sum(points)
+        assert k >= 2
+        np.testing.assert_allclose(quadrature(rows(k), 0.0, 1.0, tol=1e-12), [one[0]] * k, rtol=1e-12)
         with pytest.raises(QuadratureError, match=f"would pass {MAX_EVALUATIONS} integrand"):
-            quadrature(rows(3), 0.0, 1.0, tol=1e-12)
+            quadrature(rows(k + 1), 0.0, 1.0, tol=1e-12)
 
     def test_row_blocks_return_arrays_and_one_row_equals_1d(self):
         g = GaussianComponent(0.0, 1.0)
@@ -261,23 +287,29 @@ class TestQuadrature:
             quadrature(rows, 0.0, 1.0, tol=1e-12)
 
     def test_nonfinite_value_fails_fast_naming_row_and_point(self):
-        with pytest.raises(QuadratureError, match=r"returned -inf in row 0 at z=0\.0"):
-            quadrature(lambda z: np.where(z > 0.0, z, -np.inf), 0.0, 1.0)
+        # 0.5 is the center node of level 0's one panel [0, 1]
+        with pytest.raises(QuadratureError, match=r"returned -inf in row 0 at z=0\.5"):
+            quadrature(lambda z: np.where(z < 0.5, z, -np.inf), 0.0, 1.0)
         calls = []
 
         def rows(z):
             calls.append(z.copy())
-            return np.vstack([np.sin(20.0 * z), np.where(z == 0.625, np.nan, z)])
+            return np.vstack([np.sin(20.0 * z), np.where(z == 0.75, np.nan, z)])
 
-        with pytest.raises(QuadratureError, match=r"returned nan in row 1 at z=0\.625"):
+        with pytest.raises(QuadratureError, match=r"returned nan in row 1 at z=0\.75"):
             quadrature(rows, 0.0, 1.0)
-        # a, mid and b; level 0's quarter points; then level 1's, which hold 0.625
-        assert len(calls) == 3
-        assert 0.625 in calls[-1] and not any(0.625 in z for z in calls[:-1])
+        # level 0's nodes; then level 1's, which hold 0.75, the center of
+        # [0.5, 1], and are the last call
+        assert len(calls) == 2
+        assert 0.75 in calls[-1] and 0.75 not in calls[0]
 
     def test_one_call_per_level_and_one_row_equals_1d(self):
-        # on [0, 1] with no breakpoints, level d evaluates f at odd multiples
-        # of 2^-(d + 2), so each call after the first must be one whole level
+        # on [0, 1] with no breakpoints, call d holds exactly the 15 nodes of
+        # each panel open at level d (width 2^-d, budget tol * 2^-d); the
+        # panels open at level d + 1 are the halves of those whose |K15 - G7|
+        # missed the budget, and q is the K15 sum of the closed ones
+        tol = 1e-12
+
         def bump(z):
             return np.exp(-30.0 * (z - 0.3) ** 2)
 
@@ -291,21 +323,54 @@ class TestQuadrature:
             return g, calls
 
         flat, calls = counted(bump)
-        q = quadrature(flat, 0.0, 1.0, tol=1e-12)
+        q = quadrature(flat, 0.0, 1.0, tol=tol)
         exact = math.sqrt(math.pi / 30.0) / 2.0 * (
             math.erf(math.sqrt(30.0) * 0.7) + math.erf(math.sqrt(30.0) * 0.3)
         )
         np.testing.assert_allclose(q, exact, atol=1e-12)
-        np.testing.assert_array_equal(calls[0], [0.0, 0.5, 1.0])
-        assert len(calls) >= 5  # a multi-level run
-        for d, z in enumerate(calls[1:]):
-            ticks = z * 2.0 ** (d + 2)
-            np.testing.assert_array_equal(ticks % 2.0, 1.0)
+        assert len(calls) >= 3  # a multi-level run
+        centers, closed_sum = np.array([0.5]), 0.0
+        for d, z in enumerate(calls):
+            h = 2.0 ** -(d + 1)
+            panels = z.reshape(-1, 15)
+            panels = panels[np.argsort(panels[:, 7])]
+            np.testing.assert_array_equal(panels, np.sort(centers)[:, None] + h * GK_NODES)
+            fv = bump(panels)
+            kronrod, gauss = h * (fv @ GK_KRONROD), h * (fv @ GK_GAUSS)
+            closed = np.abs(kronrod - gauss) <= tol * 2.0 * h
+            closed_sum += kronrod[closed].sum()
+            open_centers = panels[~closed, 7]
+            centers = np.concatenate([open_centers - h / 2.0, open_centers + h / 2.0])
+        assert centers.size == 0
+        np.testing.assert_allclose(q, closed_sum, rtol=1e-14)
 
         row, row_calls = counted(lambda z: bump(z)[None, :])
-        one = quadrature(row, 0.0, 1.0, tol=1e-12)
+        one = quadrature(row, 0.0, 1.0, tol=tol)
         assert one.shape == (1,) and one[0] == q
         assert len(row_calls) == len(calls)
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol, name",
+        [
+            (0.0, 1.0, -1.0, "tol"),
+            (0.0, 1.0, 0.0, "tol"),
+            (0.0, 1.0, math.nan, "tol"),
+            (0.0, 1.0, math.inf, "tol"),
+            (-math.inf, 1.0, 1e-10, "lo"),
+            (math.nan, 1.0, 1e-10, "lo"),
+            (0.0, math.inf, 1e-10, "hi"),
+        ],
+    )
+    def test_bad_input_fails_before_any_integrand_call(self, lo, hi, tol, name):
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return z
+
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            quadrature(f, lo, hi, tol=tol)
+        assert calls == []
 
     def test_breakpoints_resolve_jumps(self):
         q = quadrature(
