@@ -18,8 +18,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def gauss_logpdf(z, mu, v):
-    """ln N(mu, v)(z), elementwise."""
-    return -0.5 * (LOG_2PI + np.log(v)) - np.square(z - mu) / (2.0 * v)
+    """ln N(mu, v)(z), elementwise, in one fresh array: (z - mu)^2 / (-2v)
+    plus the log normalizer, which is c - (z - mu)^2 / (2v) bit for bit
+    (negating a divisor negates the rounded quotient exactly)."""
+    out = np.subtract(z, mu)
+    np.square(out, out=out)
+    out /= -2.0 * v
+    out += -0.5 * (LOG_2PI + np.log(v))
+    return out
 
 
 def sigmoid(t: np.ndarray, out=None, scratch=None) -> np.ndarray:

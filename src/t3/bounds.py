@@ -3,16 +3,18 @@
 Each evaluator takes the instance parameters it needs (gamma, delta, T, the
 peak forget density, the analytic retain entropy) and returns the bound's
 right-hand side as a float.  The two tempered bounds involve an existential
-intermediate temperature tau in [1, T]; absent a constructive choice they
-are evaluated on a tau grid and the grid maximum is returned, which keeps
-them valid upper bounds.
+intermediate temperature tau in [1, T], so each is a sup over tau.  For the
+tempered retain bound (thm5) that sup is exact: its bracket is convex in
+1/tau, so the max lies at tau = 1 or tau = T and both are evaluated.  The
+tempered forget bound (thm4) has no such proof; it returns the maximum over
+a 25-point tau grid, which is the sup only where the grid attains it.
 
 All integrals run through the adaptive Gauss-Kronrod oracle over the tempered
-integration window.  A tau grid integrates as one vector-valued quadrature
-with a row per tau.  For the auxiliary exponent integral of the tempered
-forget bound, k = T drives the exponent to zero and the true integral over
-the real line diverges; the evaluator integrates over the standard window,
-which returns the (finite) window length in that edge case.
+integration window.  The taus of one bound integrate as one vector-valued
+quadrature with a row per tau.  For the auxiliary exponent integral of the
+tempered forget bound, k = T drives the exponent to zero and the true
+integral over the real line diverges; the evaluator integrates over the
+standard window, which returns the (finite) window length in that edge case.
 """
 
 from __future__ import annotations
@@ -241,20 +243,29 @@ def _unit_density_crossings(m: Mixture, lo: float, hi: float, seeds=()) -> list[
 def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
     """Retain Error bound for the T-tempered estimator:
 
-        delta/(1-gamma) + (1 - 1/T) * max_tau [
+        delta/(1-gamma) + (1 - 1/T) * max_{tau in [1, T]} [
             (int p^(1/tau) |ln p|) / lemma2(m, delta, tau) - H(p_r) ]
 
     The bias coefficient vanishes at T = 1, reproducing the untempered bound.
-    The numerators of the whole tau grid are one quadrature with a row per
-    tau, over the widest (tau = T) window, pre-split at the union of the
-    per-tau seeds and at the |ln p| kinks, which are found once.
+
+    The max over [1, T] is attained at tau = 1 or tau = T, so only those two
+    are evaluated.  Proof: put beta = 1/tau in [1/T, 1].  The numerator
+    N(beta) = int e^(beta ln p) |ln p| is log-convex in beta, by Holder:
+    N(s b1 + (1-s) b2) <= N(b1)^s N(b2)^(1-s) for s in [0, 1].  The
+    denominator is (1-gamma)^(1+beta) exp((1-beta) H(p_r) - const), so its
+    log is affine in beta.  Hence N / lemma2 = exp(convex - affine) is convex
+    in beta, the bracket is convex too, and a convex function on an interval
+    is maximal at an endpoint.
+
+    Both numerators are one two-row quadrature over the tau = T window (the
+    wider), pre-split at both taus' seeds and at the |ln p| kinks.
     """
     check_temperature(T)
     base = thm1_retain_bound(delta, m.gamma)
     if T == 1.0:
         return base
 
-    taus = default_tau_grid(T)
+    taus = np.array([1.0, T])
     lo, hi = integration_window(m, T)
     seeds = [s for tau in taus for s in quadrature_seeds(m, tau)]
     seeds += _unit_density_crossings(m, lo, hi, seeds)

@@ -21,6 +21,7 @@ from ._kernels import as_array
 WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
 MAX_EVALUATIONS = 1_000_000  # integrand values (points x rows) per quadrature
+LOG_SUM_EXP_FLOOR = -40.0  # floor of min - max in Mixture.log_density; e^-40 = 4.2e-18
 
 # The Gauss-Kronrod 7/15 pair on [-1, 1], from QUADPACK's dqk15 (Piessens et
 # al., QUADPACK, Springer 1983): the positive Kronrod nodes and their weights,
@@ -208,11 +209,36 @@ class Mixture:
     def density(self, z):
         return np.exp(self.log_density(z))
 
-    def log_density(self, z):
+    def log_density(self, z, log_retain=None):
+        """ln p(z) as hi + log1p(exp(d)), the log-sum-exp of the weighted
+        component log-densities a = ln(1 - gamma) + ln p_r and
+        b = ln gamma + ln p_f, with hi = max(a, b) and d = min(a, b) - hi
+        floored at LOG_SUM_EXP_FLOOR = c.  The floor costs at most e^c
+        absolute in ln p, keeps exp off its slow subnormal range, and turns
+        the NaN of -inf - -inf (off both uniform supports) into c, so there
+        ln p is -inf.  ``log_retain``, when given, is ln p_r(z), already
+        computed by the caller; the bits are the same either way."""
         z = as_array(z)
-        a = math.log1p(-self.gamma) + self.retain.log_density(z)
-        b = math.log(self.gamma) + self.forget.log_density(z)
-        return np.logaddexp(a, b)
+        if log_retain is None:
+            a = self.retain.log_density(z)
+        else:
+            if np.shape(log_retain) != z.shape:
+                raise ValueError(
+                    f"log_retain has shape {np.shape(log_retain)}, z has shape {z.shape}"
+                )
+            a = np.array(log_retain, dtype=np.float64)
+        a += math.log1p(-self.gamma)
+        b = self.forget.log_density(z)
+        b += math.log(self.gamma)
+        hi = np.maximum(a, b)
+        d = np.minimum(a, b, out=b)
+        with np.errstate(invalid="ignore"):
+            d -= hi
+        np.fmax(d, LOG_SUM_EXP_FLOOR, out=d)
+        np.exp(d, out=d)
+        np.log1p(d, out=d)
+        hi += d
+        return hi
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sample_labeled(rng, n)[0]

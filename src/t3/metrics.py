@@ -37,13 +37,14 @@ def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
     """MC estimate of KL(p_r || p_hat) at every temperature of ``e``: the
     mean of ln p_r(z) - ln p_hat(z) over one sample z ~ p_r, shared across
     the grid (common random numbers).  Works in log densities throughout so
-    sharp peaks cannot overflow; ln f is floored at ln PRED_CLAMP, keeping
+    sharp peaks cannot overflow; ln p_r is computed once and shared with
+    the mixture density, and ln f is floored at ln PRED_CLAMP, keeping
     every term finite on the retain support.  The terms are formed one T at
     a time in one buffer (the spent sample), so no (T x n_mc) block is held."""
     m = e.mixture
     z = m.retain.sample(rng, n_mc)
     log_pr = m.retain.log_density(z)
-    log_p = m.log_density(z)
+    log_p = m.log_density(z, log_pr)
     log_f = e.classifier.log_predict(z)
     np.maximum(log_f, LOG_CLAMP, out=log_f)
     terms = z
@@ -61,12 +62,12 @@ def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
 def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
     """MC estimate of E_{p_f} |p_r(z) - p_hat(z)| at every temperature of
     ``e``, over one sample z ~ p_f shared across the grid, one T at a time
-    in one buffer."""
+    in one buffer; ln p_r is computed once, for p_r and for ln p."""
     m = e.mixture
     z = m.forget.sample(rng, n_mc)
     p_r = m.retain.log_density(z)
+    log_p = m.log_density(z, p_r)
     np.exp(p_r, out=p_r)
-    log_p = m.log_density(z)
     f = e.classifier.predict(z)
     terms = z
     estimates = []

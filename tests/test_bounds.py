@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t3 import bounds as B
 from t3.classifier import witness_classifier
@@ -233,6 +235,62 @@ class TestTauGridBatching:
     @pytest.mark.parametrize("T", [1.1, 1.5, 2.0, 3.0])
     def test_thm5_finite_at_sharpest_forget_variance(self, T):
         assert math.isfinite(B.thm5_retain_bound(SPIKE, 0.01, T))
+
+
+class TestSupOverTau:
+    """thm5 evaluates its bracket at tau = 1 and tau = T only, which its
+    convexity in 1/tau makes the sup; thm4 keeps a 25-point grid, checked
+    here against a fine grid."""
+
+    @staticmethod
+    def _thm5_on_grid(m, delta, T):
+        # the bracket maximized over the 25-point tau grid, one batched quadrature
+        taus = B.default_tau_grid(T)
+        lo, hi = integration_window(m, T)
+        seeds = _tau_seeds(m, T)
+        seeds += B._unit_density_crossings(m, lo, hi, seeds)
+
+        def integrand(z):
+            lp = m.log_density(z)
+            return np.exp(lp / taus[:, None]) * np.abs(lp)
+
+        num = quadrature(integrand, lo, hi, breakpoints=seeds)
+        denom = np.array([B.lemma2_partition_lower_bound(m, delta, tau) for tau in taus])
+        worst = float(np.max(num / denom - m.retain.entropy()))
+        return delta / (1.0 - m.gamma) + (1.0 - 1.0 / T) * worst
+
+    @pytest.mark.parametrize("v_f", [1e-6, 1e-4, 1e-3, 1e-2, 0.3, 1.0])
+    @pytest.mark.parametrize("T", [1.5, 2.0, 3.0])
+    def test_thm5_endpoints_equal_the_grid_maximum(self, v_f, T):
+        # the grid maximum sits at tau = T on all of these
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+        np.testing.assert_allclose(
+            B.thm5_retain_bound(m, 0.01, T), self._thm5_on_grid(m, 0.01, T), rtol=1e-12
+        )
+
+    def test_thm5_keeps_tau_one_where_it_is_the_maximum(self):
+        # a sharp retain component and a sharper spike: the max is at tau = 1
+        m = Mixture(0.1, GaussianComponent(1.0, 1e-2), GaussianComponent(0.0, 1e-6))
+        np.testing.assert_allclose(
+            B.thm5_retain_bound(m, 0.01, 1.5), self._thm5_on_grid(m, 0.01, 1.5), rtol=1e-12
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gamma=st.floats(0.05, 0.5),
+        log10_v_f=st.floats(-6.0, 0.0),
+        T=st.floats(1.05, 3.0),
+    )
+    def test_thm4_grid_maximum_matches_a_fine_grid(self, gamma, log10_v_f, T):
+        m = Mixture(gamma, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 10.0 ** log10_v_f))
+        grid = float(np.max(B._tempering_bias(m, T, B.default_tau_grid(T))))
+        # 201 taus in chunks of at most DEFAULT_TAU_POINTS rows, the grid's own
+        # row count, so that each quadrature stays under MAX_EVALUATIONS
+        fine_taus = np.linspace(1.0, T, 8 * B.DEFAULT_TAU_POINTS + 1)
+        chunks = np.array_split(fine_taus, 9)
+        assert max(len(c) for c in chunks) <= B.DEFAULT_TAU_POINTS
+        fine = max(float(np.max(B._tempering_bias(m, T, c))) for c in chunks)
+        assert fine <= grid * (1.0 + 1e-9)
 
 
 class TestProposition1:

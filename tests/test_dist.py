@@ -1,6 +1,9 @@
 """Component densities, the mixture, tempering, sampling, and quadrature."""
 
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +63,91 @@ class TestLogDensity:
         m = Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
         np.testing.assert_allclose(m.density(5.0), 0.0, atol=0.0)
         np.testing.assert_allclose(m.density(0.5), 0.1, rtol=1e-12)
+
+
+SPIKES = [Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+          for v_f in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e2)]
+WITNESSES = [
+    Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0)),
+    Mixture(0.45, UniformComponent(-1.0, 0.5), UniformComponent(0.5, 0.5 + 1e-6)),
+    Mixture(0.3, GaussianComponent(0.0, 1e-2), UniformComponent(-0.1, 0.1)),
+]
+
+
+def _mixture_points(m, rng):
+    # draws from both components, each component's center, and a wide spread
+    return np.concatenate([
+        m.sample(rng, 4000),
+        m.forget.sample(rng, 1000),
+        rng.uniform(-40.0, 40.0, 1000),
+        [0.0, 0.5, 1.0, 2.0, 3.0, -1e3, 1e3],
+    ])
+
+
+class TestMixtureLogDensity:
+    """The log-sum-exp of Mixture.log_density against np.logaddexp."""
+
+    @staticmethod
+    def _logaddexp(m, z):
+        a = math.log1p(-m.gamma) + m.retain.log_density(z)
+        b = math.log(m.gamma) + m.forget.log_density(z)
+        return np.logaddexp(a, b)
+
+    @pytest.mark.parametrize("m", SPIKES + WITNESSES)
+    def test_within_two_ulp_of_logaddexp(self, m):
+        z = _mixture_points(m, np.random.default_rng(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.log_density(z)
+        ref = self._logaddexp(m, z)
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(got[~finite], ref[~finite])
+        assert finite.any()
+        got, ref = got[finite], ref[finite]
+        assert np.max(np.abs(got - ref) / np.spacing(np.maximum(1.0, np.abs(ref)))) <= 2.0
+
+    @pytest.mark.parametrize("m", WITNESSES[:2])
+    def test_exactly_minus_inf_off_both_supports(self, m):
+        z = np.array([-5.0, 1.5 if m is WITNESSES[0] else 0.7, 10.0, -1e300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.log_density(z)
+        assert np.all(got == -np.inf)
+
+    def test_nan_propagates(self):
+        assert np.isnan(SPIKES[3].log_density(np.array([0.0, np.nan]))[1])
+
+    @pytest.mark.parametrize("m", SPIKES + WITNESSES)
+    def test_passing_log_retain_gives_the_same_bits(self, m):
+        z = _mixture_points(m, np.random.default_rng(6))
+        log_retain = m.retain.log_density(z)
+        kept = log_retain.copy()
+        got = m.log_density(z, log_retain)
+        np.testing.assert_array_equal(got.view(np.uint64), m.log_density(z).view(np.uint64))
+        np.testing.assert_array_equal(log_retain, kept)  # the caller's array is left alone
+
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 5), (5, 1)])
+    def test_rejects_a_log_retain_of_another_shape(self, shape):
+        m, z = SPIKES[3], np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"log_retain has shape {shape}, z has shape (5,)")):
+            m.log_density(z, np.zeros(shape))
+
+    @pytest.mark.parametrize("m", [SPIKES[3], WITNESSES[0]])
+    def test_allocates_at_most_three_arrays(self, m):
+        # the weighted component log-densities and the result; the
+        # log-sum-exp runs in place, so the peak traced allocation stays at
+        # three float64 arrays of n
+        n = 100_000
+        z = m.sample(np.random.default_rng(0), n)
+        m.log_density(z)
+        tracemalloc.start()
+        try:
+            m.log_density(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.01 * 8 * n
 
 
 class TestSampling:

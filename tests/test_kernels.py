@@ -1,5 +1,8 @@
-"""Properties of the shared sigmoid, softplus and log-sigmoid formulas, and
-the bits of sigmoid and mean_se against the formulas they replace."""
+"""Properties of the shared sigmoid, softplus and log-sigmoid formulas, the
+bits of gauss_logpdf, sigmoid and mean_se against the formulas they
+replace, and the memory gauss_logpdf allocates."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,3 +63,39 @@ def test_mean_se_bits_match_numpy(n):
     assert mean == float(np.mean(terms))
     assert se == float(np.std(terms, ddof=1) / np.sqrt(n))
     np.testing.assert_array_equal(terms, copy)  # the input is left alone
+
+
+def _subtracted_gauss_logpdf(z, mu, v):
+    # the former formula: c - (z - mu)^2 / (2v), four fresh arrays
+    return -0.5 * (K.LOG_2PI + np.log(v)) - np.square(z - mu) / (2.0 * v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gauss_logpdf_bits_match_the_subtracted_form(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        mu = float(rng.uniform(-10.0, 10.0))
+        v = float(10.0 ** rng.uniform(-12.0, 2.0))
+        z = np.concatenate([
+            rng.uniform(-1e3, 1e3, 200),
+            rng.normal(mu, np.sqrt(v), 200),
+            [mu, -1e3, 1e3],
+        ])
+        got = K.gauss_logpdf(z, mu, v)
+        assert repr(got.tolist()) == repr(_subtracted_gauss_logpdf(z, mu, v).tolist())
+
+
+def test_gauss_logpdf_allocates_only_its_output():
+    # the log-density is formed in its one output array: the peak traced
+    # allocation stays under 1.1 float64 arrays of n (the subtracted form
+    # holds two at once)
+    n = 100_000
+    z = np.random.default_rng(0).normal(size=n)
+    K.gauss_logpdf(z, 0.3, 2.0)
+    tracemalloc.start()
+    try:
+        K.gauss_logpdf(z, 0.3, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * n
