@@ -9,24 +9,30 @@ tempered retain bound (thm5) that sup is exact: its bracket is convex in
 tempered forget bound (thm4) has no such proof; it returns the maximum over
 a 25-point tau grid, which is the sup only where the grid attains it.
 
-All integrals run through the adaptive Gauss-Kronrod oracle over the tempered
-integration window.  The taus of one bound integrate as one vector-valued
-quadrature with a row per tau.  For the auxiliary exponent integral of the
-tempered forget bound, k = T drives the exponent to zero and the true
-integral over the real line diverges; the evaluator integrates over the
-standard window, which returns the (finite) window length in that edge case.
+All integrals run through the adaptive Gauss-Kronrod oracle over
+``dist.quadrature_domain(m, temperatures)``, and the taus of one bound
+integrate as one vector-valued quadrature with a row per tau.  The
+temperatures each integral passes:
+
+- thm4's tau-tempered oracle partitions: the tau grid (inside ``build``);
+- thm4's three tau-moments: [T], whose window and breakpoints every tau in
+  [1, T] shares;
+- thm4's auxiliary integral of p^c: [max(1/c, 1)], the temperature at
+  which p^c is a tempered density.  For T >= 2, k = T drives c to zero and
+  the true integral over the real line diverges; the evaluator then returns
+  the (finite) length of the [T] window;
+- thm5's two numerators: (1, T), pre-split also at the |ln p| kinks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ._kernels import check_temperature
-from .dist import Mixture, integration_window, quadrature, quadrature_seeds
+from .dist import Mixture, quadrature, quadrature_domain
 from .estimator import build, oracle_classifier
 
 DEFAULT_TAU_POINTS = 25
@@ -123,14 +129,13 @@ def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
     of ``taus`` (all in [1, T]).
 
     The tau-tempered oracle is one estimator over the tau grid, and each of
-    the three tau-moments is one quadrature with a row per tau over the T
-    window, which every tau shares."""
+    the three tau-moments is one quadrature with a row per tau over the
+    domain of [T], which every tau shares."""
     taus = np.asarray(taus, dtype=np.float64)
     if T == 1.0:
         return np.zeros(taus.size)
     oracle = build(m, oracle_classifier(m), taus)
-    lo, hi = integration_window(m, T)
-    seeds = quadrature_seeds(m, T)
+    lo, hi, seeds = quadrature_domain(m, [T])
 
     def oracle_rows(z):
         # the tau-tempered oracle density (one row per tau) and ln p, with
@@ -158,23 +163,17 @@ def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
 
 
 def _power_integral(m: Mixture, c: float, T_window: float) -> float:
-    """integral of p^c over the window.  c = 0 (the k = T edge) integrates
-    the constant 1, i.e. returns the window length."""
+    """integral of p^c over the domain of [max(1/c, 1)].  c = 0 (the k = T
+    edge) integrates the constant 1, i.e. returns the length of the
+    [T_window] window."""
     if c <= 1e-12:
-        lo, hi = integration_window(m, T_window)
+        lo, hi, _ = quadrature_domain(m, [T_window])
         return hi - lo
-    t_eff = max(1.0 / c, 1.0)
-    lo, hi = integration_window(m, t_eff)
-    seeds = quadrature_seeds(m, t_eff)
+    lo, hi, seeds = quadrature_domain(m, [max(1.0 / c, 1.0)])
     return quadrature(lambda z: np.exp(c * m.log_density(z)), lo, hi, breakpoints=seeds)
 
 
-def thm4_forget_bound(
-    m: Mixture,
-    delta: float,
-    T: float,
-    k: Optional[float] = None,
-) -> float:
+def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
     """Forget Error bound for the T-tempered estimator:
 
         max_tau (1 - 1/T) ||p_f||_{2,p_r^(tau)} Std_{p_r^(tau)}[ln p]
@@ -182,14 +181,11 @@ def thm4_forget_bound(
         + ||p_f||_inf^(1/T) (int p^((k-T)/(T(k-1))))^((k-1)/k)
               * (delta/2)^(1/(2k)) / (A(T, gamma)^2 exp(-delta/(1-gamma)))
 
-    with k >= T controlling the integrability tradeoff (default max(T, 2))
-    and A(T, gamma) the lemma 2 partition lower bound at delta = 0.
+    with k = max(T, 2) >= T fixing the integrability tradeoff and A(T, gamma)
+    the lemma 2 partition lower bound at delta = 0.
     """
     check_temperature(T)
-    if k is None:
-        k = max(T, 2.0)
-    if k < T:
-        raise ValueError(f"need k >= T, got k={k} < T={T}")
+    k = max(T, 2.0)
 
     bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T))))
 
@@ -199,11 +195,7 @@ def thm4_forget_bound(
     half_delta = delta / 2.0
     term2 = pf_inf ** (1.0 / T) * half_delta ** (1.0 / (2.0 * T)) / a_coef
 
-    if k == 1.0:  # forces T = 1; the exponent (k-T)/(T(k-1)) -> 1 in the limit
-        power_int = 1.0
-    else:
-        c = (k - T) / (T * (k - 1.0))
-        power_int = _power_integral(m, c, T)
+    power_int = _power_integral(m, (k - T) / (T * (k - 1.0)), T)
     term3 = (
         pf_inf ** (1.0 / T)
         * power_int ** ((k - 1.0) / k)
@@ -257,8 +249,9 @@ def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
     in beta, the bracket is convex too, and a convex function on an interval
     is maximal at an endpoint.
 
-    Both numerators are one two-row quadrature over the tau = T window (the
-    wider), pre-split at both taus' seeds and at the |ln p| kinks.
+    Both numerators are one two-row quadrature over the domain of (1, T),
+    pre-split also at the |ln p| kinks.  |ln p| is read as 0 where p
+    vanishes (off uniform supports ln p = -inf, and 0 * inf would be NaN).
     """
     check_temperature(T)
     base = thm1_retain_bound(delta, m.gamma)
@@ -266,13 +259,12 @@ def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
         return base
 
     taus = np.array([1.0, T])
-    lo, hi = integration_window(m, T)
-    seeds = [s for tau in taus for s in quadrature_seeds(m, tau)]
-    seeds += _unit_density_crossings(m, lo, hi, seeds)
+    lo, hi, seeds = quadrature_domain(m, taus)
+    seeds += tuple(_unit_density_crossings(m, lo, hi, seeds))
 
     def integrand(z):
         lp = m.log_density(z)
-        return np.exp(lp / taus[:, None]) * np.abs(lp)
+        return np.exp(lp / taus[:, None]) * np.abs(np.where(np.isneginf(lp), 0.0, lp))
 
     num = quadrature(integrand, lo, hi, breakpoints=seeds)
     denom = np.array([lemma2_partition_lower_bound(m, delta, tau) for tau in taus])

@@ -1,5 +1,6 @@
 """Univariate component densities, their gamma-weighted mixture, analytic
-tempering, exact sampling, and an adaptive Gauss-Kronrod quadrature oracle.
+tempering, exact sampling, an adaptive Gauss-Kronrod quadrature oracle, and
+the one domain (window and breakpoints) over which it integrates a mixture.
 
 Two component families are provided: Gaussians (the synthetic-experiment
 world) and uniform intervals (the family on which the forget-error lower
@@ -71,9 +72,6 @@ class GaussianComponent:
                 f"variance must be positive with 2*pi*variance finite, got {self.variance}"
             )
 
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
     def log_density(self, z):
         z = as_array(z)
         return _kernels.gauss_logpdf(z, float(self.mean), float(self.variance))
@@ -105,9 +103,6 @@ class GaussianComponent:
         normalizer = (2.0 * math.pi * self.variance) ** ((T - 1.0) / (2.0 * T)) * math.sqrt(T)
         return GaussianComponent(self.mean, T * self.variance), normalizer
 
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
 
 @dataclass(frozen=True)
 class UniformComponent:
@@ -123,11 +118,6 @@ class UniformComponent:
             raise ValueError(
                 f"need finite lo < hi with a finite width and density, got [{self.lo}, {self.hi}]"
             )
-
-    def density(self, z):
-        z = as_array(z)
-        inside = (z >= self.lo) & (z <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     def log_density(self, z):
         z = as_array(z)
@@ -206,9 +196,6 @@ class Mixture:
             self.forget, GaussianComponent
         )
 
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
     def log_density(self, z, log_retain=None):
         """ln p(z) as hi + log1p(exp(d)), the log-sum-exp of the weighted
         component log-densities a = ln(1 - gamma) + ln p_r and
@@ -258,46 +245,43 @@ class Mixture:
         return z_f, s
 
 
-def integration_window(m: Mixture, T: float = 1.0) -> tuple[float, float]:
-    """[min mean - 12*max stddev, max mean + 12*max stddev] of the mixture
-    components after tempering by T, widened to cover uniform supports."""
-    comps = (m.retain, m.forget)
-    means, stds = [], []
-    lo_edges, hi_edges = [], []
-    for c in comps:
-        if isinstance(c, GaussianComponent):
-            means.append(c.mean)
-            stds.append(math.sqrt(T * c.variance))
-        else:
-            means.append(0.5 * (c.lo + c.hi))
-            stds.append(c.stddev())
-            lo_edges.append(c.lo)
-            hi_edges.append(c.hi)
-    smax = max(stds)
-    lo = min(means) - WINDOW_STDDEVS * smax
-    hi = max(means) + WINDOW_STDDEVS * smax
-    if lo_edges:
-        lo = min(lo, min(lo_edges))
-        hi = max(hi, max(hi_edges))
-    return lo, hi
+def quadrature_domain(
+    m: Mixture, temperatures: Sequence[float] = (1.0,)
+) -> tuple[float, float, tuple[float, ...]]:
+    """Where to integrate a mixture integrand tempered at each of
+    ``temperatures``: the window (lo, hi) and the sorted breakpoints that
+    pre-split it.
 
-
-def quadrature_seeds(m: Mixture, T: float = 1.0) -> tuple[float, ...]:
-    """Breakpoints that pre-split the integration interval: uniform support
-    edges (where integrands jump) and Gaussian cores (where they spike).
+    The window runs WINDOW_STDDEVS of the largest component stddev beyond
+    the extreme component means, with each Gaussian tempered at the largest
+    T (a uniform counts at its own stddev), widened to cover every uniform
+    support.  The breakpoints are the union over the temperatures of each
+    component's: a uniform's support edges (where integrands jump) and a
+    tempered Gaussian's mean, +-1 and +-7 stddev (where they spike).
 
     A Gaussian's outer breakpoints sit at +-7 stddev, where the one-sided
     tail mass is 1.3e-12.  The panel beyond is wide next to a narrow spike,
     so its nodes may not see the tail at all; at +-6 stddev that tail holds
     1e-9, more than the default tolerance."""
-    pts: list[float] = []
+    t_max = max(temperatures)
+    means, stds, edges = [], [], []
+    pts = set()
     for c in (m.retain, m.forget):
         if isinstance(c, UniformComponent):
-            pts.extend((c.lo, c.hi))
+            means.append(0.5 * (c.lo + c.hi))
+            stds.append(c.stddev())
+            edges.extend((c.lo, c.hi))
         else:
-            s = math.sqrt(T * c.variance)
-            pts.extend((c.mean - 7.0 * s, c.mean - s, c.mean, c.mean + s, c.mean + 7.0 * s))
-    return tuple(sorted(pts))
+            means.append(c.mean)
+            stds.append(math.sqrt(t_max * c.variance))
+            for T in temperatures:
+                s = math.sqrt(T * c.variance)
+                pts.update((c.mean - 7.0 * s, c.mean - s, c.mean, c.mean + s, c.mean + 7.0 * s))
+    pts.update(edges)
+    smax = max(stds)
+    lo = min([min(means) - WINDOW_STDDEVS * smax, *edges])
+    hi = max([max(means) + WINDOW_STDDEVS * smax, *edges])
+    return lo, hi, tuple(sorted(pts))
 
 
 def quadrature(

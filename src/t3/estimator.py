@@ -7,8 +7,9 @@ the retain density is
 
 An estimator holds a whole temperature grid, one row per T; one temperature
 is a one-element grid.  At desk scale every Z is computed exactly, by one
-vector-valued adaptive Gauss-Kronrod quadrature over the widest tempered
-window.
+vector-valued adaptive Gauss-Kronrod quadrature over
+``quadrature_domain(m, temperatures)``: the window of the largest T and the
+breakpoints of every T in the grid.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from .classifier import (
     bayes_classifier,
     indicator_classifier,
 )
-from .dist import (
-    Mixture,
-    UniformComponent,
-    integration_window,
-    quadrature,
-    quadrature_seeds,
-)
+from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
 
 
 @dataclass(frozen=True)
@@ -63,9 +58,9 @@ def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:
     """Construct the estimator over a temperature grid, computing every
     partition Z(T) = integral of p^(1/T) f in one vector-valued quadrature.
 
-    All rows share the widest tempered window and the union of the per-T
-    quadrature seeds, and ln p and f are evaluated once per point; a panel
-    closes only when every row has converged."""
+    All rows share the quadrature domain of the whole grid, and ln p and f
+    are evaluated once per point; a panel closes only when every row has
+    converged."""
     temps = np.array([check_temperature(T) for T in temperatures])
     if temps.size == 0:
         raise ValueError("build needs a nonempty temperature grid")
@@ -73,8 +68,7 @@ def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:
     def integrand(z):
         return np.exp(m.log_density(z) / temps[:, None]) * clf.predict(z)
 
-    lo, hi = integration_window(m, temps.max())
-    seeds = [s for T in temps for s in quadrature_seeds(m, T)]
+    lo, hi, seeds = quadrature_domain(m, temps)
     z_vals = quadrature(integrand, lo, hi, breakpoints=seeds)
     if not np.all(z_vals > 0.0):
         raise ValueError(f"partition must be positive, got {z_vals.min()}")

@@ -14,9 +14,8 @@ from t3.dist import (
     GaussianComponent,
     Mixture,
     UniformComponent,
-    integration_window,
     quadrature,
-    quadrature_seeds,
+    quadrature_domain,
 )
 from t3.estimator import build, oracle_classifier
 from t3.metrics import closed_form_errors
@@ -103,19 +102,16 @@ class TestLemma2:
 
 class TestTemperedForgetBound:
     def test_t1_reduces_to_sqrt_delta_order(self):
-        val = B.thm4_forget_bound(FLAT, 0.01, 1.0, k=1.0)
+        # at T = 1 the bias vanishes and k = 2 makes the power integral that of p, i.e. 1
+        val = B.thm4_forget_bound(FLAT, 0.01, 1.0)
         a = B.lemma2_partition_lower_bound(FLAT, 0.0, 1.0)
         pf = FLAT.forget.peak_density()
-        expected = pf * (0.005 ** 0.5) / a + pf * (0.005 ** 0.5) / (a * a * math.exp(-0.01 / 0.9))
+        expected = pf * (0.005 ** 0.5) / a + pf * (0.005 ** 0.25) / (a * a * math.exp(-0.01 / 0.9))
         np.testing.assert_allclose(val, expected, rtol=1e-12)
 
     def test_disjoint_supports_zero_bias(self):
         for bias in B._tempering_bias(WITNESS, 2.0, [1.0, 1.5, 2.0]):
             assert bias == 0.0
-
-    def test_rejects_k_below_t(self):
-        with pytest.raises(ValueError):
-            B.thm4_forget_bound(FLAT, 0.01, 2.0, k=1.5)
 
 
 class TestTemperedRetainBound:
@@ -124,6 +120,21 @@ class TestTemperedRetainBound:
 
     def test_zero_delta_t1_is_zero(self):
         assert B.thm5_retain_bound(FLAT, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3])
+    @pytest.mark.parametrize("T", [1.5, 2.0, 3.0])
+    def test_uniform_pair_matches_closed_form(self, gamma, T):
+        # p is 1 - gamma on [2, 3], gamma on [0, 1] and 0 elsewhere, where
+        # |ln p| counts as 0; H(p_r) = 0
+        m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+
+        def bracket(tau):
+            num = ((1 - gamma) ** (1 / tau) * abs(math.log(1 - gamma))
+                   + gamma ** (1 / tau) * abs(math.log(gamma)))
+            return num / B.lemma2_partition_lower_bound(m, 0.01, tau)
+
+        expected = 0.01 / (1 - gamma) + (1 - 1 / T) * max(bracket(1.0), bracket(T))
+        np.testing.assert_allclose(B.thm5_retain_bound(m, 0.01, T), expected, rtol=1e-14)
 
 
 def _scalar_crossings(m, lo, hi, seeds):
@@ -150,10 +161,6 @@ def _scalar_crossings(m, lo, hi, seeds):
 SPIKE = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
 
 
-def _tau_seeds(m, T):
-    return [s for tau in B.default_tau_grid(T) for s in quadrature_seeds(m, float(tau))]
-
-
 class TestUnitDensityCrossings:
     @pytest.mark.parametrize(
         "m",
@@ -166,9 +173,9 @@ class TestUnitDensityCrossings:
         ],
     )
     def test_batched_roots_equal_scalar_bisection(self, m):
-        seeds = _tau_seeds(m, 3.0)
+        seeds = quadrature_domain(m, B.default_tau_grid(3.0))[2]
         for tau in B.default_tau_grid(3.0):
-            lo, hi = integration_window(m, float(tau))
+            lo, hi, _ = quadrature_domain(m, [float(tau)])
             roots = B._unit_density_crossings(m, lo, hi, seeds)
             assert roots == _scalar_crossings(m, lo, hi, seeds)
             if m is GAUSS:
@@ -178,8 +185,8 @@ class TestUnitDensityCrossings:
     def test_spike_roots_found_through_the_seeds(self, T):
         # ln p > 0 only on |z| < 0.0028, narrower than the 4096-point grid
         # step; the spike's core seeds bracket both roots
-        lo, hi = integration_window(SPIKE, T)
-        roots = B._unit_density_crossings(SPIKE, lo, hi, _tau_seeds(SPIKE, T))
+        lo, hi, seeds = quadrature_domain(SPIKE, B.default_tau_grid(T))
+        roots = B._unit_density_crossings(SPIKE, lo, hi, seeds)
         assert len(roots) == 2
         assert -0.003 < roots[0] < -0.002 and 0.002 < roots[1] < 0.003
         np.testing.assert_allclose(SPIKE.log_density(np.array(roots)), 0.0, atol=1e-9)
@@ -193,8 +200,7 @@ class TestTauGridBatching:
         biases = []
         for tau in B.default_tau_grid(T):
             oracle = build(m, oracle_classifier(m), [float(tau)])
-            lo, hi = integration_window(m, T)
-            seeds = quadrature_seeds(m, T)
+            lo, hi, seeds = quadrature_domain(m, [T])
 
             def d(z):
                 return oracle.density(z)[0]
@@ -210,8 +216,7 @@ class TestTauGridBatching:
     def _thm5_loop(m, delta, T):
         worst = -math.inf
         for tau in map(float, B.default_tau_grid(T)):
-            lo, hi = integration_window(m, tau)
-            seeds = quadrature_seeds(m, tau) + quadrature_seeds(m, 1.0)
+            lo, hi, seeds = quadrature_domain(m, [1.0, tau])
             seeds += tuple(B._unit_density_crossings(m, lo, hi, seeds))
             num = quadrature(lambda z: np.exp(m.log_density(z) / tau) * np.abs(m.log_density(z)),
                              lo, hi, breakpoints=seeds)
@@ -246,9 +251,8 @@ class TestSupOverTau:
     def _thm5_on_grid(m, delta, T):
         # the bracket maximized over the 25-point tau grid, one batched quadrature
         taus = B.default_tau_grid(T)
-        lo, hi = integration_window(m, T)
-        seeds = _tau_seeds(m, T)
-        seeds += B._unit_density_crossings(m, lo, hi, seeds)
+        lo, hi, seeds = quadrature_domain(m, taus)
+        seeds += tuple(B._unit_density_crossings(m, lo, hi, seeds))
 
         def integrand(z):
             lp = m.log_density(z)

@@ -26,7 +26,7 @@ from t3.classifier import (
     witness_classifier,
     witness_instance,
 )
-from t3.dist import GaussianComponent, Mixture, UniformComponent, integration_window, quadrature, quadrature_seeds
+from t3.dist import GaussianComponent, Mixture, UniformComponent, quadrature, quadrature_domain
 
 DEFAULT = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1.0))
 
@@ -211,7 +211,7 @@ class TestBayesClassifier:
         )
         # predict agrees with (1-gamma) p_r / p on a grid
         z = np.linspace(-4, 6, 101)
-        direct = 0.9 * np.exp(DEFAULT.retain.log_density(z)) / DEFAULT.density(z)
+        direct = 0.9 * np.exp(DEFAULT.retain.log_density(z)) / np.exp(DEFAULT.log_density(z))
         np.testing.assert_allclose(bayes.predict(z), direct, atol=1e-12)
 
     def test_indistinguishable_components_predict_half(self):
@@ -225,7 +225,9 @@ class TestBayesClassifier:
         bayes = bayes_classifier(m)
         z = np.linspace(-6, 7, 101)
         np.testing.assert_allclose(
-            bayes.predict(z) * m.density(z), (1 - 0.27) * np.exp(m.retain.log_density(z)), atol=1e-12
+            bayes.predict(z) * np.exp(m.log_density(z)),
+            (1 - 0.27) * np.exp(m.retain.log_density(z)),
+            atol=1e-12,
         )
 
     def test_rejects_uniform_components(self):
@@ -285,14 +287,14 @@ class TestExcessRisk:
         # quadrature oracle for E[l(0.5) - l(f*)] under the joint law
         def integrand(z):
             f = bayes.predict(z)
-            p = DEFAULT.density(z)
+            p = np.exp(DEFAULT.log_density(z))
             l_half = math.log(2.0)
             f = np.clip(f, 1e-300, 1 - 1e-16)
             l_star = -(f * np.log(f) + (1 - f) * np.log1p(-f))
             return p * (l_half - l_star)
 
-        lo, hi = integration_window(DEFAULT)
-        exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=quadrature_seeds(DEFAULT))
+        lo, hi, seeds = quadrature_domain(DEFAULT)
+        exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=seeds)
         assert abs(d_hat - exact) <= 3 * se
 
     def test_trained_classifier_nonnegative(self):

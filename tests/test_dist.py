@@ -17,9 +17,8 @@ from t3.dist import (
     Mixture,
     QuadratureError,
     UniformComponent,
-    integration_window,
     quadrature,
-    quadrature_seeds,
+    quadrature_domain,
 )
 
 STD_NORM_LOGPEAK = -0.9189385332046727  # -ln(2 pi)/2, direct formula
@@ -57,12 +56,12 @@ class TestLogDensity:
         m = Mixture(0.3, GaussianComponent(1.0, 2.0), GaussianComponent(-1.0, 0.5))
         z = np.linspace(-4, 5, 50)
         direct = 0.7 * np.exp(m.retain.log_density(z)) + 0.3 * np.exp(m.forget.log_density(z))
-        np.testing.assert_allclose(m.density(z), direct, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(m.log_density(z)), direct, rtol=1e-12)
 
     def test_mixture_with_uniform_component_off_support(self):
         m = Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-        np.testing.assert_allclose(m.density(5.0), 0.0, atol=0.0)
-        np.testing.assert_allclose(m.density(0.5), 0.1, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(m.log_density(5.0)), 0.0, atol=0.0)
+        np.testing.assert_allclose(np.exp(m.log_density(0.5)), 0.1, rtol=1e-12)
 
 
 SPIKES = [Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
@@ -295,7 +294,7 @@ class TestPeakDensity:
         for v in (0.3, 1.0, 4.0):
             g = GaussianComponent(0.5, v)
             grid = np.linspace(0.5 - 5 * math.sqrt(v), 0.5 + 5 * math.sqrt(v), 20001)
-            assert abs(g.peak_density() - float(np.max(g.density(grid)))) < 1e-10
+            assert abs(g.peak_density() - float(np.max(np.exp(g.log_density(grid))))) < 1e-10
 
     def test_uniform_is_inverse_width(self):
         assert UniformComponent(1.0, 3.0).peak_density() == 0.5
@@ -304,12 +303,12 @@ class TestPeakDensity:
 class TestQuadrature:
     def test_normal_density_integrates_to_one(self):
         g = GaussianComponent(0.0, 1.0)
-        q = quadrature(lambda z: g.density(z), -12, 12, tol=1e-12)
+        q = quadrature(lambda z: np.exp(g.log_density(z)), -12, 12, tol=1e-12)
         np.testing.assert_allclose(q, 1.0, atol=1e-10)
 
     def test_odd_integrand_vanishes(self):
         g = GaussianComponent(0.0, 1.0)
-        q = quadrature(lambda z: z * g.density(z), -12, 12, tol=1e-12)
+        q = quadrature(lambda z: z * np.exp(g.log_density(z)), -12, 12, tol=1e-12)
         assert abs(q) < 1e-10
 
     def test_sqrt_density_matches_temper_constant(self):
@@ -358,11 +357,15 @@ class TestQuadrature:
 
     def test_row_blocks_return_arrays_and_one_row_equals_1d(self):
         g = GaussianComponent(0.0, 1.0)
-        scalar = quadrature(g.density, -12, 12)
+
+        def density(z):
+            return np.exp(g.log_density(z))
+
+        scalar = quadrature(density, -12, 12)
         assert isinstance(scalar, float)
-        one = quadrature(lambda z: g.density(z)[None, :], -12, 12)
+        one = quadrature(lambda z: density(z)[None, :], -12, 12)
         assert one.shape == (1,) and one[0] == scalar
-        two = quadrature(lambda z: np.vstack([g.density(z), z * z * g.density(z)]), -12, 12)
+        two = quadrature(lambda z: np.vstack([density(z), z * z * density(z)]), -12, 12)
         assert two.shape == (2,)
         np.testing.assert_allclose(two, [1.0, 1.0], atol=1e-9)
 
@@ -472,14 +475,14 @@ class TestMixtureInvariants:
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.5])
     def test_density_integrates_to_one(self, gamma, v_f):
         m = Mixture(gamma, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
-        lo, hi = integration_window(m)
-        q = quadrature(m.density, lo, hi, tol=1e-10, breakpoints=quadrature_seeds(m))
+        lo, hi, seeds = quadrature_domain(m)
+        q = quadrature(lambda z: np.exp(m.log_density(z)), lo, hi, tol=1e-10, breakpoints=seeds)
         np.testing.assert_allclose(q, 1.0, atol=1e-8)
 
     def test_uniform_pair_integrates_to_one(self):
         m = Mixture(0.2, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
-        lo, hi = integration_window(m)
-        q = quadrature(m.density, lo, hi, tol=1e-10, breakpoints=quadrature_seeds(m))
+        lo, hi, seeds = quadrature_domain(m)
+        q = quadrature(lambda z: np.exp(m.log_density(z)), lo, hi, tol=1e-10, breakpoints=seeds)
         np.testing.assert_allclose(q, 1.0, atol=1e-10)
 
     def test_rejects_bad_gamma(self):
@@ -502,9 +505,79 @@ class TestMixtureInvariants:
 
     def test_window_covers_tempered_spread(self):
         m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 4.0))
-        lo1, hi1 = integration_window(m, 1.0)
-        lo3, hi3 = integration_window(m, 3.0)
+        lo1, hi1, _ = quadrature_domain(m, [1.0])
+        lo3, hi3, _ = quadrature_domain(m, [3.0])
         assert lo3 < lo1 and hi3 > hi1
+
+
+def _reference_window(m, T=1.0):
+    """The window quadrature_domain replaced, as it was: the reference its
+    window must equal at the largest T."""
+    comps = (m.retain, m.forget)
+    means, stds = [], []
+    lo_edges, hi_edges = [], []
+    for c in comps:
+        if isinstance(c, GaussianComponent):
+            means.append(c.mean)
+            stds.append(math.sqrt(T * c.variance))
+        else:
+            means.append(0.5 * (c.lo + c.hi))
+            stds.append(c.stddev())
+            lo_edges.append(c.lo)
+            hi_edges.append(c.hi)
+    smax = max(stds)
+    lo = min(means) - 12.0 * smax
+    hi = max(means) + 12.0 * smax
+    if lo_edges:
+        lo = min(lo, min(lo_edges))
+        hi = max(hi, max(hi_edges))
+    return lo, hi
+
+
+def _reference_breakpoints(m, T=1.0):
+    """The per-T breakpoints quadrature_domain replaced, as they were: the
+    reference whose union over the grid its breakpoints must equal."""
+    pts = []
+    for c in (m.retain, m.forget):
+        if isinstance(c, UniformComponent):
+            pts.extend((c.lo, c.hi))
+        else:
+            s = math.sqrt(T * c.variance)
+            pts.extend((c.mean - 7.0 * s, c.mean - s, c.mean, c.mean + s, c.mean + 7.0 * s))
+    return tuple(sorted(pts))
+
+
+def _random_component(rng, family):
+    if family is GaussianComponent:
+        mean, log_variance = rng.uniform(-3.0, 3.0), rng.uniform(-6.0, 1.0)
+        return GaussianComponent(float(mean), float(10.0 ** log_variance))
+    lo = float(rng.uniform(-3.0, 3.0))
+    return UniformComponent(lo, lo + float(10.0 ** rng.uniform(-2.0, 1.0)))
+
+
+class TestQuadratureDomain:
+    @pytest.mark.parametrize(
+        "families",
+        [
+            (GaussianComponent, GaussianComponent),
+            (UniformComponent, UniformComponent),
+            (GaussianComponent, UniformComponent),
+            (UniformComponent, GaussianComponent),
+        ],
+        ids=["gauss", "uniform", "gauss-uniform", "uniform-gauss"],
+    )
+    @pytest.mark.parametrize("n_temps", [1, 2, 21])
+    def test_equals_the_window_and_seeds_it_replaced(self, families, n_temps):
+        rng = np.random.default_rng(n_temps)
+        for i in range(25):
+            gamma = float(rng.uniform(0.05, 0.95))
+            m = Mixture(gamma, *(_random_component(rng, f) for f in families))
+            temps = rng.uniform(1.0, 5.0, n_temps)  # unsorted, so the max is not last
+            grid = temps if i % 2 else temps.tolist()
+            lo, hi, breakpoints = quadrature_domain(m, grid)
+            assert (lo, hi) == _reference_window(m, max(grid))
+            assert set(breakpoints) == {s for T in grid for s in _reference_breakpoints(m, T)}
+            assert list(breakpoints) == sorted(set(breakpoints))
 
 
 # Any float at all, NaN, infinities and subnormals included.

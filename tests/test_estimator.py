@@ -14,9 +14,8 @@ from t3.dist import (
     GaussianComponent,
     Mixture,
     UniformComponent,
-    integration_window,
     quadrature,
-    quadrature_seeds,
+    quadrature_domain,
 )
 from t3.estimator import build
 from t3 import bounds as B
@@ -34,6 +33,12 @@ def _tempered_oracle(tau):
     return build(DEFAULT, bayes_classifier(DEFAULT), [tau])
 
 
+def _one_t_quadrature(f, m, T, tol=1e-10):
+    """f integrated over the quadrature domain of the one temperature T."""
+    lo, hi, seeds = quadrature_domain(m, [T])
+    return quadrature(f, lo, hi, tol=tol, breakpoints=seeds)
+
+
 class TestBuild:
     def test_bayes_partition_is_one_minus_gamma(self):
         est = build(DEFAULT, bayes_classifier(DEFAULT), [1.0])
@@ -41,14 +46,7 @@ class TestBuild:
 
     def test_constant_classifier_partition_is_tempered_mass(self):
         est = build(DEFAULT, NEAR_ONE, [2.0])
-        lo, hi = integration_window(DEFAULT, 2.0)
-        expected = quadrature(
-            lambda z: np.exp(DEFAULT.log_density(z) / 2.0),
-            lo,
-            hi,
-            tol=1e-10,
-            breakpoints=quadrature_seeds(DEFAULT, 2.0),
-        )
+        expected = _one_t_quadrature(lambda z: np.exp(DEFAULT.log_density(z) / 2.0), DEFAULT, 2.0)
         np.testing.assert_allclose(est.partitions, [expected], rtol=1e-8)
 
     def test_rejects_t_below_one(self):
@@ -69,11 +67,7 @@ class TestPartitions:
         wit = witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0))
         witness = Mixture(0.1, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
         for m, c in ((DEFAULT, clf), (spike, clf), (witness, wit)):
-            scalar = quadrature(
-                lambda z: np.exp(m.log_density(z) / T) * c.predict(z),
-                *integration_window(m, T),
-                breakpoints=quadrature_seeds(m, T),
-            )
+            scalar = _one_t_quadrature(lambda z: np.exp(m.log_density(z) / T) * c.predict(z), m, T)
             assert build(m, c, [T]).partitions == (scalar,)
 
     # The reference is a one-T quadrature at a tighter tolerance, so the
@@ -100,12 +94,7 @@ class TestPartitions:
         assert est.temperatures == tuple(temperatures)
         assert len(est.partitions) == len(temperatures) and min(est.partitions) > 0.0
         ref = [
-            quadrature(
-                lambda z: np.exp(m.log_density(z) / T) * clf.predict(z),
-                *integration_window(m, T),
-                tol=1e-13,
-                breakpoints=quadrature_seeds(m, T),
-            )
+            _one_t_quadrature(lambda z: np.exp(m.log_density(z) / T) * clf.predict(z), m, T, 1e-13)
             for T in temperatures
         ]
         np.testing.assert_allclose(est.partitions, ref, rtol=1e-9, atol=0.0)
@@ -152,11 +141,8 @@ class TestPartitions:
         clf = QuadClassifier(weights=np.array(weights))
         est = build(m, clf, temperatures)
         for T, z in zip(temperatures, est.partitions):
-            ref = quadrature(
-                lambda x: np.exp(m.log_density(x) / T) * clf.predict(x),
-                *integration_window(m, T),
-                tol=1e-13,
-                breakpoints=quadrature_seeds(m, T),
+            ref = _one_t_quadrature(
+                lambda x: np.exp(m.log_density(x) / T) * clf.predict(x), m, T, 1e-13
             )
             assert abs(z - ref) <= 1e-10, (T, z, ref)
 
@@ -251,8 +237,7 @@ class TestDensity:
         for _ in range(3):
             clf = QuadClassifier(weights=rng.normal(scale=0.5, size=3))
             est = build(DEFAULT, clf, grid)
-            lo, hi = integration_window(DEFAULT, max(grid))
-            seeds = [s for T in grid for s in quadrature_seeds(DEFAULT, T)]
+            lo, hi, seeds = quadrature_domain(DEFAULT, grid)
             q = quadrature(est.density, lo, hi, tol=1e-9, breakpoints=seeds)
             np.testing.assert_allclose(q, [1.0] * len(grid), atol=1e-6)
 
@@ -277,27 +262,19 @@ class TestTemperedOracle:
     @pytest.mark.parametrize("tau", [1.0, 1.5, 2.0, 3.0])
     def test_normalized(self, tau):
         est = _tempered_oracle(tau)
-        lo, hi = integration_window(DEFAULT, tau)
-        q = quadrature(
-            lambda z: est.density(z)[0], lo, hi, tol=1e-9, breakpoints=quadrature_seeds(DEFAULT, tau)
-        )
+        q = _one_t_quadrature(lambda z: est.density(z)[0], DEFAULT, tau, 1e-9)
         np.testing.assert_allclose(q, 1.0, atol=1e-6)
 
     def test_log_density_expectation_matches_importance_sampling(self):
         # E_{p_r^(2)}[ln p] by quadrature vs self-normalized IS from the mixture
         tau = 2.0
         est = _tempered_oracle(tau)
-        lo, hi = integration_window(DEFAULT, tau)
-        expected = quadrature(
-            lambda z: est.density(z)[0] * DEFAULT.log_density(z),
-            lo,
-            hi,
-            tol=1e-9,
-            breakpoints=quadrature_seeds(DEFAULT, tau),
+        expected = _one_t_quadrature(
+            lambda z: est.density(z)[0] * DEFAULT.log_density(z), DEFAULT, tau, 1e-9
         )
         rng = np.random.default_rng(4)
         z = DEFAULT.sample(rng, 10**6)
-        w = est.density(z)[0] / DEFAULT.density(z)
+        w = est.density(z)[0] / np.exp(DEFAULT.log_density(z))
         vals = DEFAULT.log_density(z)
         mean_w = float(np.mean(w))
         est_mc = float(np.mean(w * vals)) / mean_w

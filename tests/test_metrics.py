@@ -17,9 +17,8 @@ from t3.dist import (
     GaussianComponent,
     Mixture,
     UniformComponent,
-    integration_window,
     quadrature,
-    quadrature_seeds,
+    quadrature_domain,
 )
 from t3.estimator import build
 from t3.metrics import ErrorEstimate, closed_form_errors, forget_error, retain_error
@@ -160,10 +159,8 @@ class TestSwappedComponents:
         w0, w1, w2 = anti.weights
         clamp_roots = np.roots([w2, w1, w0 - math.log(1e-12)])
         clamp_roots = tuple(float(rt) for rt in clamp_roots if abs(rt.imag) < 1e-12)
-        lo, hi = integration_window(m)
-        kl = quadrature(
-            integrand, lo, hi, tol=1e-8, breakpoints=quadrature_seeds(m) + clamp_roots
-        )
+        lo, hi, seeds = quadrature_domain(m)
+        kl = quadrature(integrand, lo, hi, tol=1e-8, breakpoints=seeds + clamp_roots)
         assert abs(r.value - kl) <= 4 * r.std_err
 
 
@@ -200,8 +197,8 @@ class TestProperties:
                 pr = np.exp(m.retain.log_density(z))
                 return pr * (m.retain.log_density(z) - _log_estimate(est, z))
 
-            lo, hi = integration_window(m, T)
-            exact = quadrature(integrand, lo, hi, tol=1e-8, breakpoints=quadrature_seeds(m, T))
+            lo, hi, seeds = quadrature_domain(m, [T])
+            exact = quadrature(integrand, lo, hi, tol=1e-8, breakpoints=seeds)
             (r,) = retain_error(est, 10**5, rng)
             assert abs(r.value - exact) <= 4 * r.std_err
 
@@ -218,7 +215,7 @@ class TestProperties:
                 pr = np.exp(m.retain.log_density(z))
                 return pf * np.abs(pr - est.density(z)[0])
 
-            lo, hi = integration_window(m, T)
-            exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=quadrature_seeds(m, T))
+            lo, hi, seeds = quadrature_domain(m, [T])
+            exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=seeds)
             (f,) = forget_error(est, 50_000, np.random.default_rng(13))
             assert abs(f.value - exact) <= 3 * f.std_err + FP_GUARD
