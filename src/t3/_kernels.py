@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
+EXP_FLOOR = -700.0  # see _exp_neg_abs
 
 
 def gauss_logpdf(z, mu, v):
@@ -28,16 +29,26 @@ def gauss_logpdf(z, mu, v):
     return out
 
 
+def _exp_neg_abs(t: np.ndarray, out=None) -> np.ndarray:
+    """e^max(-|t|, EXP_FLOOR), into ``out`` when given.  The floor keeps
+    np.exp on its vector path, which numpy 2.4.6 leaves below about -707.5
+    (there it is 18-115x slower per element on an x86-64 Xeon).  It moves
+    only values under e^-700 ~ 9.9e-305, and a NaN still propagates."""
+    e = np.abs(t, out=out)
+    np.negative(e, out=e)
+    np.maximum(e, EXP_FLOOR, out=e)
+    return np.exp(e, out=e)
+
+
 def sigmoid(t: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """1 / (1 + e^-t) for a float64 array t, overflow-safe on both tails:
-    with e = e^-|t| it is where(t >= 0, 1, e) / (1 + e), one division.  The
+    with e = e^-|t| (floored as in _exp_neg_abs, so t below -700 gives
+    e^-700) it is where(t >= 0, 1, e) / (1 + e), one division.  The
     numerator is formed as max(t >= 0, e), exact because 0 <= e <= 1 (and a
     NaN propagates).  ``out`` (which may be ``t`` itself) receives the
     result and ``scratch``, an array like t, holds e; either is allocated
     when not given, so with both the call allocates nothing."""
-    e = np.abs(t, out=scratch)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+    e = _exp_neg_abs(t, out=scratch)
     out = np.greater_equal(t, 0.0, out=np.empty_like(e) if out is None else out)
     np.maximum(out, e, out=out)
     e += 1.0
@@ -45,8 +56,9 @@ def sigmoid(t: np.ndarray, out=None, scratch=None) -> np.ndarray:
 
 
 def softplus(t: np.ndarray) -> np.ndarray:
-    """ln(1 + e^t) without overflow."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    """ln(1 + e^t) without overflow, as max(t, 0) + ln(1 + e^-|t|) with
+    e^-|t| floored as in _exp_neg_abs."""
+    return np.maximum(t, 0.0) + np.log1p(_exp_neg_abs(t))
 
 
 def log_sigmoid(t: np.ndarray) -> np.ndarray:
@@ -54,10 +66,10 @@ def log_sigmoid(t: np.ndarray) -> np.ndarray:
     return -softplus(-t)
 
 
-def logistic_loss(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+def logistic_loss(t: np.ndarray, s: np.ndarray) -> float:
     """Mean logistic loss of logits t against 0/1 labels s,
-    mean(softplus(t) - s*t), and sigmoid(t) for its gradient."""
-    return float(np.mean(softplus(t) - s * t)), sigmoid(t)
+    mean(softplus(t) - s*t); its gradient in t is (sigmoid(t) - s) / n."""
+    return float(np.mean(softplus(t) - s * t))
 
 
 def mean_se(terms: np.ndarray) -> tuple[float, float]:

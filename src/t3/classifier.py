@@ -146,7 +146,8 @@ def _objective(w, X, s, lam):
     """Smooth regularized cross-entropy: the mean logistic loss plus
     lam*|w|^2."""
     t = X @ w
-    loss, sig = logistic_loss(t, s)
+    loss = logistic_loss(t, s)
+    sig = sigmoid(t)
     # at lam = 0 the penalty is skipped, not 0 * |w|^2: on separable data
     # |w| grows without bound, and |w|^2 can overflow to inf (0 * inf = nan)
     value = float(loss + lam * (w @ w)) if lam else float(loss)

@@ -9,9 +9,11 @@ base model's BOS-padded ids; the table looks its row up by them and the head,
 which holds only its two weight matrices, scores their pooled one-hot
 ``feature``.  The metric stack (truth ratio, KS-based forget quality, ROUGE-L
 recall, length-normalized probability, harmonic-mean utilities) scores the
-result against a retain-only retrained reference.  A report evaluates each
-distinct context once per model: a next-token row depends on the context only
-through its ids.
+result against a retain-only retrained reference.  A next-token row and a
+head score depend on the context only through its ids, so a report evaluates
+each distinct context once per model, and head training runs its forward pass
+once per distinct context; the trained weights are bit-identical to the dense
+per-row loop (see ``train_head`` for the BLAS assumption and its test).
 
 Corpus file format: one document per line,
 ``split<TAB>question<TAB>answer<TAB>paraphrase<TAB>pert1|pert2|...``
@@ -235,44 +237,65 @@ def train_head(
 ) -> HeadClassifier:
     """Fit the low-rank head by full-batch gradient descent with Armijo
     backtracking on mean cross-entropy of the scalar [g(x)]_y plus
-    lam * (|A|_F^2 + |B|_F^2).  Features are encoded once and cached."""
+    lam * (|A|_F^2 + |B|_F^2).
+
+    A row's logit depends on its context only through ``lm._ctx_ids``, so
+    the forward pass runs once per distinct context (the demo stream has 82
+    in 400 rows) and each row gathers its one logit from that block.  The
+    weights are bit-identical to the dense per-row loop: a feature row has
+    at most ``order`` nonzeros of 1/order, so F @ A.T rounds once in any
+    order, and each entry of P @ B.T depends only on its own row, which
+    BLAS is assumed to compute alike for any row count.  The two gradient
+    products that sum over rows keep all n rows and their shapes.
+    ``test_train_head_matches_the_eager_gradient_loop_bitwise`` guards this.
+    """
     if hidden < 1 or epochs < 1:
         raise ValueError(f"hidden and epochs must be >= 1, got {hidden} and {epochs}")
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if not stream:
+        raise ValueError("stream must be nonempty")
+    for i, (_, _, lbl) in enumerate(stream):
+        if lbl not in (0, 1):
+            raise ValueError(f"stream row {i}: label must be 0 or 1, got {lbl!r}")
     rng = rng or np.random.default_rng(0)
     v = len(lm.vocab)
     a = rng.normal(0.0, 0.3, size=(hidden, v * lm.order))
     b = rng.normal(0.0, 0.3, size=(v, hidden))
 
-    feats = np.stack([feature(lm._ctx_ids(ctx), v) for ctx, _, _ in stream])
+    # ci[r]: the index of row r's context among the distinct ones
+    distinct: Dict[tuple[int, ...], int] = {}
+    ci = np.array([distinct.setdefault(lm._ctx_ids(ctx), len(distinct)) for ctx, _, _ in stream])
+    feats_u = np.stack([feature(ids, v) for ids in distinct])
+    feats = feats_u[ci]
     y_idx = np.array([lm.token_id[y] for _, y, _ in stream])
     s = np.array([float(lbl) for _, _, lbl in stream])
     n = len(stream)
     rows = np.arange(n)
 
     def loss(a_m, b_m):
-        """The objective at (a_m, b_m), with the hidden activations p and the
-        sigmoids sig that its gradient reuses."""
-        p = feats @ a_m.T  # (n, h)
-        logits_full = p @ b_m.T  # (n, |V|)
-        loss_value, sig = logistic_loss(logits_full[rows, y_idx], s)
-        value = loss_value + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
-        return value, p, sig
+        """The objective at (a_m, b_m), with the per-context hidden
+        activations p_u and the row logits t that its gradient reuses."""
+        p_u = feats_u @ a_m.T  # (contexts, h)
+        t = (p_u @ b_m.T)[ci, y_idx]
+        value = logistic_loss(t, s) + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
+        return value, p_u, t
 
-    def gradient(a_m, b_m, p, sig):
+    def gradient(a_m, b_m, p_u, t):
+        g = (sigmoid(t) - s) / n
         g_logit = np.zeros((n, v))
-        g_logit[rows, y_idx] = (sig - s) / n
-        grad_b = g_logit.T @ p + 2.0 * lam * b_m
-        grad_a = (g_logit @ b_m).T @ feats + 2.0 * lam * a_m
+        g_logit[rows, y_idx] = g
+        grad_b = g_logit.T @ p_u[ci] + 2.0 * lam * b_m
+        # g_logit @ b_m has the one nonzero term per row: gather it exactly
+        grad_a = (g[:, None] * b_m[y_idx]).T @ feats + 2.0 * lam * a_m
         return grad_a, grad_b
 
     # trial steps only need the loss; the gradient is taken once per epoch,
     # at the point the previous epoch accepted
-    value, p, sig = loss(a, b)
+    value, p_u, t = loss(a, b)
     step = 1.0
     for _ in range(epochs):
-        grad_a, grad_b = gradient(a, b, p, sig)
+        grad_a, grad_b = gradient(a, b, p_u, t)
         slope = -(float(np.sum(grad_a * grad_a)) + float(np.sum(grad_b * grad_b)))
         if slope > -1e-18:
             break
@@ -280,9 +303,9 @@ def train_head(
         for _bt in range(80):
             a_new = a - step * grad_a
             b_new = b - step * grad_b
-            v_new, p_new, sig_new = loss(a_new, b_new)
+            v_new, p_new, t_new = loss(a_new, b_new)
             if v_new <= value + 1e-4 * step * slope:
-                a, b, value, p, sig = a_new, b_new, v_new, p_new, sig_new
+                a, b, value, p_u, t = a_new, b_new, v_new, p_new, t_new
                 break
             step *= 0.5
         else:

@@ -2,6 +2,7 @@
 bits of gauss_logpdf, sigmoid and mean_se against the formulas they
 replace, and the memory gauss_logpdf allocates."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,8 +36,9 @@ def test_log_sigmoid_is_negated_softplus_and_finite(t):
 
 
 def _two_division_sigmoid(t):
-    # the former formula: 1 / (1 + e) for t >= 0 and e / (1 + e) below
-    e = np.exp(-np.abs(t))
+    # the former formula: 1 / (1 + e) for t >= 0 and e / (1 + e) below, with
+    # e = e^-|t| floored at e^-700 as in the kernel
+    e = np.exp(np.maximum(-np.abs(t), -700.0))
     return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -45,6 +47,8 @@ def test_sigmoid_bits_match_the_two_division_form():
     t = np.concatenate([special, -special, np.random.default_rng(3).normal(scale=20.0, size=500)])
     ref = _two_division_sigmoid(t).view(np.uint64)
     np.testing.assert_array_equal(K.sigmoid(t).view(np.uint64), ref)
+    # the floored tail: e^-700 / (1 + e^-700) rounds to e^-700
+    assert K.sigmoid(-special[2:]).tolist() == [math.exp(-700.0)] * 3
     # into caller buffers, and in place over t itself
     out, scratch = np.empty_like(t), np.empty_like(t)
     assert K.sigmoid(t, out=out, scratch=scratch) is out
@@ -53,6 +57,25 @@ def test_sigmoid_bits_match_the_two_division_form():
     K.sigmoid(in_place, out=in_place, scratch=scratch)
     np.testing.assert_array_equal(in_place.view(np.uint64), ref)
     assert np.isnan(K.sigmoid(np.array([np.nan]))[0])
+
+
+def test_exp_floor_sets_the_tail_values_exactly():
+    # below -700 the exponent is floored, so every tail value is the one at
+    # e^-700 exactly; at -700 and above, e^-|t| is np.exp's own value
+    e700 = math.exp(-700.0)
+    tail = np.array([700.5, 707.5, 708.0, 745.0, 1e4, 1e308, np.inf])
+    assert K.sigmoid(-tail).tolist() == [e700] * tail.size
+    assert K.sigmoid(tail).tolist() == [1.0] * tail.size
+    assert K.softplus(-tail).tolist() == [e700] * tail.size
+    assert K.softplus(tail).tolist() == tail.tolist()
+    assert K.log_sigmoid(tail).tolist() == [-e700] * tail.size
+    inside = np.array([-700.0, -699.5, -50.0, -1.0])
+    e = np.exp(inside)
+    assert K.sigmoid(inside).tolist() == (e / (1.0 + e)).tolist()
+    assert K.softplus(inside).tolist() == np.log1p(e).tolist()
+    for f in (K.sigmoid, K.softplus, K.log_sigmoid):
+        out = f(np.array([np.nan, -1e4, 1e4]))
+        assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000, 100_001])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from t3 import tinylm as tl
-from t3._kernels import logistic_loss
+from t3._kernels import logistic_loss, sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,8 @@ def _eager_train_head(lm, stream, lam, epochs, rng, hidden):
 
     def objective(a_m, b_m):
         logits_full = feats @ a_m.T @ b_m.T
-        loss, sig = logistic_loss(logits_full[rows, y_idx], s)
+        loss = logistic_loss(logits_full[rows, y_idx], s)
+        sig = sigmoid(logits_full[rows, y_idx])
         value = loss + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
         g_logit = np.zeros((n, v))
         g_logit[rows, y_idx] = (sig - s) / n
@@ -207,14 +208,48 @@ def _eager_train_head(lm, stream, lam, epochs, rng, hidden):
     return a, b
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_train_head_matches_the_eager_gradient_loop_bitwise(corpus, lm, seed):
-    # train_head takes the gradient only at accepted points; the weights it
-    # returns must be the eager loop's, bit for bit
-    stream = tl.head_training_stream(corpus, 2)
-    head = tl.train_head(lm, stream, lam=1e-4, epochs=100, rng=np.random.default_rng(seed), hidden=16)
-    a, b = _eager_train_head(lm, stream, 1e-4, 100, np.random.default_rng(seed), 16)
+# the perfbench gate trains head seeds 1000 * instance + i, i < 4
+GATE_SEEDS = [1000 * k + i for k in (0, 7) for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "order, hidden, seed, distinct",
+    [pytest.param(2, 16, seed, False, id=str(seed)) for seed in GATE_SEEDS]
+    + [
+        pytest.param(1, 16, 0, False, id="order1"),
+        pytest.param(2, 1, 0, False, id="hidden1"),
+        pytest.param(2, 16, 0, True, id="distinct-contexts"),
+    ],
+)
+def test_train_head_matches_the_eager_gradient_loop_bitwise(corpus, order, hidden, seed, distinct):
+    # train_head takes the gradient only at accepted points and runs the
+    # forward pass once per distinct context; the weights it returns must be
+    # the eager dense per-row loop's, bit for bit
+    lm = tl.fit_lm(corpus.all_docs(), order=order, smoothing=1e-3, vocab=corpus.vocab)
+    stream = tl.head_training_stream(corpus, order)
+    if distinct:  # the first row of each context: no context repeats
+        firsts = {}
+        for row in stream:
+            firsts.setdefault(lm._ctx_ids(row[0]), row)
+        stream = list(firsts.values())
+    head = tl.train_head(lm, stream, lam=1e-4, epochs=100, rng=np.random.default_rng(seed), hidden=hidden)
+    a, b = _eager_train_head(lm, stream, 1e-4, 100, np.random.default_rng(seed), hidden)
     assert head.a.tobytes() == a.tobytes() and head.b.tobytes() == b.tobytes()
+
+
+def test_train_head_rejects_a_bad_stream_before_any_work(corpus, lm):
+    stream = tl.head_training_stream(corpus, 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="stream must be nonempty"):
+        tl.train_head(lm, [], rng=rng)
+    for bad in (2, math.nan, 0.5, -1):
+        rows = list(stream)
+        rows[3] = rows[3][:2] + (bad,)
+        rows[7] = rows[7][:2] + (2,)
+        with pytest.raises(ValueError, match=r"stream row 3: label must be 0 or 1, got " + repr(bad)):
+            tl.train_head(lm, rows, rng=rng)
+    assert rng.bit_generator.state == state  # no weights were drawn
 
 
 class TestTiltedNextToken:
