@@ -29,26 +29,26 @@ def gauss_logpdf(z, mu, v):
     return out
 
 
-def _exp_neg_abs(t: np.ndarray, out=None) -> np.ndarray:
-    """e^max(-|t|, EXP_FLOOR), into ``out`` when given.  The floor keeps
-    np.exp on its vector path, which numpy 2.4.6 leaves below about -707.5
-    (there it is 18-115x slower per element on an x86-64 Xeon).  It moves
-    only values under e^-700 ~ 9.9e-305, and a NaN still propagates."""
-    e = np.abs(t, out=out)
+def _exp_neg_abs(t: np.ndarray) -> np.ndarray:
+    """e^max(-|t|, EXP_FLOOR) in one fresh array.  The floor keeps np.exp on
+    its vector path, which numpy 2.4.6 leaves below about -707.5 (there it
+    is 18-115x slower per element on an x86-64 Xeon).  It moves only values
+    under e^-700 ~ 9.9e-305, and a NaN still propagates."""
+    e = np.abs(t)
     np.negative(e, out=e)
     np.maximum(e, EXP_FLOOR, out=e)
     return np.exp(e, out=e)
 
 
-def sigmoid(t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def sigmoid(t: np.ndarray, out=None) -> np.ndarray:
     """1 / (1 + e^-t) for a float64 array t, overflow-safe on both tails:
     with e = e^-|t| (floored as in _exp_neg_abs, so t below -700 gives
     e^-700) it is where(t >= 0, 1, e) / (1 + e), one division.  The
     numerator is formed as max(t >= 0, e), exact because 0 <= e <= 1 (and a
-    NaN propagates).  ``out`` (which may be ``t`` itself) receives the
-    result and ``scratch``, an array like t, holds e; either is allocated
-    when not given, so with both the call allocates nothing."""
-    e = _exp_neg_abs(t, out=scratch)
+    NaN propagates).  The result goes into ``out`` when given, which may be
+    ``t`` itself (QuadClassifier.predict overwrites its fresh logit so), and
+    into a fresh array otherwise; e takes one array of its own either way."""
+    e = _exp_neg_abs(t)
     out = np.greater_equal(t, 0.0, out=np.empty_like(e) if out is None else out)
     np.maximum(out, e, out=out)
     e += 1.0

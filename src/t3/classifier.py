@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid
-from .dist import DrawBuffers, Mixture, UniformComponent
+from .dist import Mixture, UniformComponent
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
 
@@ -81,20 +81,20 @@ class QuadClassifier:
             raise ValueError(f"weights must be finite, got {w}")
         object.__setattr__(self, "weights", w)
 
-    def _logit(self, z, out=None) -> np.ndarray:
-        """w0 + z * (w1 + z * w2), into ``out`` when given."""
+    def _logit(self, z) -> np.ndarray:
+        """w0 + z * (w1 + z * w2), Horner's rule in one fresh array."""
         z = as_array(z)
         w0, w1, w2 = self.weights
-        t = np.multiply(z, w2, out=out)
+        t = z * w2
         t += w1
         np.multiply(z, t, out=t)
         t += w0
         return t
 
-    def predict(self, z, out=None, scratch=None) -> np.ndarray:
-        """sigmoid of the logit, into ``out``; ``scratch`` as in sigmoid."""
-        t = self._logit(z, out)
-        return sigmoid(t, out=t, scratch=scratch)
+    def predict(self, z) -> np.ndarray:
+        """sigmoid of the logit, written over the logit's own fresh array."""
+        t = self._logit(z)
+        return sigmoid(t, out=t)
 
     def log_predict(self, z) -> np.ndarray:
         return log_sigmoid(self._logit(z))
@@ -123,12 +123,11 @@ class PiecewiseClassifier:
         if not 0.0 <= self.forget_value < 1.0:
             raise ValueError("forget_value must lie in [0, 1)")
 
-    def predict(self, z, out=None, scratch=None) -> np.ndarray:
-        """The piecewise values, into ``out`` when given (``scratch`` is
-        unused; it keeps the QuadClassifier call shape)."""
+    def predict(self, z) -> np.ndarray:
+        """The piecewise values: retain_value on the retain support,
+        forget_value on the forget support and 0 elsewhere."""
         z = as_array(z)
-        out = np.empty_like(z) if out is None else out
-        out.fill(0.0)
+        out = np.zeros_like(z)
         rlo, rhi = self.retain_support
         flo, fhi = self.forget_support
         out[(z >= rlo) & (z <= rhi)] = self.retain_value
@@ -221,15 +220,15 @@ def train(data: LabeledDataset, lam: float) -> QuadClassifier:
     return clf
 
 
-def cross_entropy_terms(clf: Classifier, z, s, out=None, scratch=None) -> np.ndarray:
+def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
     """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)) for 0/1
     labels s, with the prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP].
     Both logs are taken over the whole array and each sample keeps the one
-    its label selects.  ``out`` receives the terms and ``scratch``, an array
-    like z, is overwritten; either is allocated when not given."""
-    p = clf.predict(z, out=out, scratch=scratch)
+    its label selects.  The chain runs in place in two arrays of z's size:
+    the prediction, which ends up holding the terms, and ln(1 - f)."""
+    p = clf.predict(z)
     np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
-    log_q = np.negative(p, out=scratch)
+    log_q = np.negative(p)
     np.log1p(log_q, out=log_q)
     np.log(p, out=p)
     np.copyto(log_q, p, where=np.asarray(s, dtype=bool))
@@ -308,8 +307,7 @@ def estimate_excess_risk(
     Returns (delta_hat, std_err).  The population value is nonnegative, so
     delta_hat should not fall below -3 std_err up to MC noise.
     """
-    work = DrawBuffers.empty(n_mc)
-    z, s = m.sample_labeled(rng, n_mc, out=work)
-    terms = cross_entropy_terms(clf, z, s, out=work.u, scratch=work.z_r)
-    terms -= cross_entropy_terms(bayes, z, s, scratch=work.z_r)
+    z, s = m.sample_labeled(rng, n_mc)
+    terms = cross_entropy_terms(clf, z, s)
+    terms -= cross_entropy_terms(bayes, z, s)
     return mean_se(terms)

@@ -21,14 +21,23 @@ import numpy as np
 from .harness import load_config, run_experiment1, run_experiment2, run_soundness_sweep
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_type(minimum: int):
+    """An argparse type that accepts an integer >= ``minimum`` only."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_type(1)
+_seed = _int_type(0)  # numpy's default_rng takes no negative seed
 
 
 def _float_type(what: str, ok):
@@ -203,7 +212,7 @@ def main(argv=None) -> int:
     verify_lb = sub.add_parser("verify-lb", help="check the lower-bound equality instance")
     verify_lb.add_argument("--gamma", type=_fraction, required=True)
     verify_lb.add_argument("--delta", type=_positive_float, required=True)
-    verify_lb.add_argument("--seed", type=int, default=0)
+    verify_lb.add_argument("--seed", type=_seed, default=0)
     verify_lb.set_defaults(func=_cmd_verify_lb)
 
     p = sub.add_parser("tinylm", help="run the tabular-LM unlearning demo")
@@ -214,7 +223,7 @@ def main(argv=None) -> int:
     p.add_argument("--head-lambda", type=_nonnegative_float, default=1e-4)
     p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--hidden", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--write-demo", default=None, help="write the built-in demo corpus here")
     p.set_defaults(func=_cmd_tinylm)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -76,10 +76,10 @@ class GaussianComponent:
         z = as_array(z)
         return _kernels.gauss_logpdf(z, float(self.mean), float(self.variance))
 
-    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
-        """n draws, into ``out`` when given; bitwise rng.normal(mean, sd, n)."""
-        out = _draw_buffer(n, out)
-        rng.standard_normal(out=out)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws, scaled and shifted in place in one fresh array; bitwise
+        rng.normal(mean, sd, n)."""
+        out = rng.standard_normal(n)
         out *= math.sqrt(self.variance)
         out += self.mean
         return out
@@ -124,10 +124,10 @@ class UniformComponent:
         inside = (z >= self.lo) & (z <= self.hi)
         return np.where(inside, -math.log(self.hi - self.lo), -math.inf)
 
-    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
-        """n draws, into ``out`` when given; bitwise rng.uniform(lo, hi, n)."""
-        out = _draw_buffer(n, out)
-        rng.random(out=out)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws, scaled and shifted in place in one fresh array; bitwise
+        rng.uniform(lo, hi, n)."""
+        out = rng.random(n)
         out *= self.hi - self.lo
         out += self.lo
         return out
@@ -153,29 +153,6 @@ class UniformComponent:
 
 
 Component = Union[GaussianComponent, UniformComponent]
-
-
-def _draw_buffer(n: int, out):
-    if out is None:
-        return np.empty(n)
-    if out.shape != (n,) or out.dtype != np.float64:
-        raise ValueError(f"need a float64 buffer of shape ({n},), got {out.dtype} {out.shape}")
-    return out
-
-
-class DrawBuffers(NamedTuple):
-    """Caller-owned arrays of one length n that Mixture.sample_labeled draws
-    into: the label uniforms, n draws from each component and the retain
-    mask.  Once z is assembled (in z_f), u and z_r are free for reuse."""
-
-    u: np.ndarray
-    z_r: np.ndarray
-    z_f: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int) -> "DrawBuffers":
-        return cls(np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -230,19 +207,17 @@ class Mixture:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sample_labeled(rng, n)[0]
 
-    def sample_labeled(self, rng: np.random.Generator, n: int, out: Optional[DrawBuffers] = None):
+    def sample_labeled(self, rng: np.random.Generator, n: int):
         """Draw (z, s) pairs: the label s ~ Bernoulli(1 - gamma) first
         (s True means retain), then z from the labeled component.  Both
-        components draw n values and z keeps the labeled one.  The draws go
-        into ``out`` when given (z is returned in out.z_f, s is out.s), else
-        into fresh DrawBuffers; the bits are the same either way."""
-        u, z_r, z_f, s = DrawBuffers.empty(n) if out is None else out
-        rng.random(out=_draw_buffer(n, u))
-        np.less(u, 1.0 - self.gamma, out=s)
-        self.retain.sample(rng, n, out=z_r)
-        self.forget.sample(rng, n, out=z_f)
-        np.copyto(z_f, z_r, where=s)
-        return z_f, s
+        components draw n values and z keeps the labeled one, written over
+        the forget draws.  The label uniforms are dropped once s is formed,
+        so at most s and two float64 arrays of n are live at once."""
+        s = rng.random(n) < 1.0 - self.gamma
+        z_r = self.retain.sample(rng, n)
+        z = self.forget.sample(rng, n)
+        np.copyto(z, z_r, where=s)
+        return z, s
 
 
 def quadrature_domain(

@@ -5,9 +5,7 @@ A sweep with workers > 1 opens one process pool for all its groups.  The
 pool first runs the lambda-search cells (one per group and lambda-grid
 index); the parent picks each group's lambda from their risks, and the same
 pool then runs every trial of every group.  With one worker nothing is
-spawned and the same cell and trial functions run in-process.  A cell's
-fits draw and score their population risk in one reused workspace
-(``dist.DrawBuffers``), with the same bits as fresh arrays.
+spawned and the same cell and trial functions run in-process.
 
 A trial scores its whole temperature grid on one retain sample and one
 forget sample; a bound-soundness classifier likewise scores T = 1 and the
@@ -40,7 +38,7 @@ from .classifier import (
     train,
     witness_instance,
 )
-from .dist import DrawBuffers, GaussianComponent, Mixture
+from .dist import GaussianComponent, Mixture
 from .estimator import T3Estimator, build
 from .metrics import forget_error, retain_error
 
@@ -160,7 +158,11 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     cfg = ExperimentConfig(**values)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        cfg = replace(cfg, base_seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
+        cfg = replace(cfg, base_seed=seed)
     return cfg
 
 
@@ -233,20 +235,14 @@ class SweepTable:
 # risk / lambda search
 # ---------------------------------------------------------------------------
 
-def population_risk(
-    clf, m: Mixture, n_mc: int, rng: np.random.Generator, work: Optional[DrawBuffers] = None
-) -> float:
-    """MC mean of the population cross-entropy of clf under the mixture.
-
-    The sample is drawn into ``work`` (DrawBuffers.empty(n_mc) when None)
-    and scored in its spent uniform and retain-draw arrays, so a caller that
-    reuses one workspace allocates nothing n_mc-sized per call; the result
-    is bit-identical to fresh arrays."""
+def population_risk(clf, m: Mixture, n_mc: int, rng: np.random.Generator) -> float:
+    """MC mean of the population cross-entropy of clf under the mixture,
+    over n_mc labeled draws (z, s) from ``m``: the mean of
+    cross_entropy_terms(clf, z, s)."""
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    work = DrawBuffers.empty(n_mc) if work is None else work
-    z, s = m.sample_labeled(rng, n_mc, out=work)
-    return float(np.mean(cross_entropy_terms(clf, z, s, out=work.u, scratch=work.z_r)))
+    z, s = m.sample_labeled(rng, n_mc)
+    return float(np.mean(cross_entropy_terms(clf, z, s)))
 
 
 def _lambda_cell(args) -> list[float]:
@@ -256,14 +252,13 @@ def _lambda_cell(args) -> list[float]:
     config, v_f, n, stream_tag, li = args
     m = config.mixture(v_f)
     lam = config.lambda_grid[li]
-    work = DrawBuffers.empty(config.n_mc_risk)  # every fit draws and scores in it
     risks = []
     for trial in range(config.lambda_search_trials):
         seed = derive_seed(config.base_seed, stream_tag, 1_000 + li, trial)
         rng = np.random.default_rng(seed)
         try:
             clf = train(LabeledDataset.from_mixture(m, n, rng), lam)
-            risks.append(population_risk(clf, m, config.n_mc_risk, rng, work))
+            risks.append(population_risk(clf, m, config.n_mc_risk, rng))
         except Exception as exc:
             raise RuntimeError(
                 f"lambda-search fit {trial} at lambda[{li}] = {lam!r} of stream {stream_tag} "

@@ -177,8 +177,11 @@ def fit_lm(docs: Sequence[Sequence[str]], order: int, smoothing: float, vocab: T
         raise ValueError("docs must be nonempty")
     lm = TabularLM(vocab, order, smoothing)
     v = len(vocab)
-    for doc in docs:
+    for j, doc in enumerate(docs):
         for i, y in enumerate(doc):
+            # each context token was an earlier target, so this checks them too
+            if y not in lm.token_id:
+                raise ValueError(f"doc {j}: token {y!r} is not in the vocab")
             key = lm._ctx_ids(doc[:i])
             if key not in lm._counts:
                 lm._counts[key] = np.zeros(v)
@@ -255,9 +258,13 @@ def train_head(
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if not stream:
         raise ValueError("stream must be nonempty")
-    for i, (_, _, lbl) in enumerate(stream):
+    for i, (ctx, y, lbl) in enumerate(stream):
         if lbl not in (0, 1):
             raise ValueError(f"stream row {i}: label must be 0 or 1, got {lbl!r}")
+        for field, tokens in (("context", ctx), ("target", (y,))):
+            for tok in tokens:
+                if tok not in lm.token_id:
+                    raise ValueError(f"stream row {i}: {field} token {tok!r} is not in the vocab")
     rng = rng or np.random.default_rng(0)
     v = len(lm.vocab)
     a = rng.normal(0.0, 0.3, size=(hidden, v * lm.order))

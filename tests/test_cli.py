@@ -106,6 +106,8 @@ def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers
         ("tinylm", "--epochs", "0"),
         ("tinylm", "--order", "0"),
         ("tinylm", "--order", "3"),
+        ("tinylm", "--seed", "-3"),
+        ("tinylm", "--seed", "two"),
         ("verify-lb", "--gamma", "0"),
         ("verify-lb", "--gamma", "1"),
         ("verify-lb", "--gamma", "nan"),
@@ -113,6 +115,7 @@ def test_sweep_rejects_worker_count_below_one(capsys, tmp_path, command, workers
         ("verify-lb", "--delta", "-1"),
         ("verify-lb", "--delta", "nan"),
         ("verify-lb", "--delta", "inf"),
+        ("verify-lb", "--seed", "-1"),
         ("verify-lb", "--delta", "4"),  # in range alone, not with --gamma 0.1
         ("verify-lb", "--gamma", "0.9999999999999"),  # in (0, 1), above 1 - 1e-12
     ],
@@ -125,6 +128,7 @@ def test_rejects_out_of_domain_argument(capsys, tmp_path, command, option, value
         "--head-lambda": "must be a finite number >= 0",
         "--gamma": "must be a number in (0, 1)",
         "--delta": "must be a finite number > 0",
+        "--seed": "must be an integer >= 0",
     }.get(option, "must be an integer >= 1")
     if (command, option) == ("bounds", "--trials"):  # bounds has no --trials option
         message = f"unrecognized arguments: --trials {value}"

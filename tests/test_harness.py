@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from t3.classifier import QuadClassifier, cross_entropy_terms, witness_classifier
-from t3.dist import DrawBuffers, GaussianComponent, Mixture, UniformComponent
+from t3.dist import GaussianComponent, Mixture, UniformComponent
 from t3.emit import emit, write_csv
 from t3.harness import (
     CSV_HEADER,
@@ -215,6 +215,11 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.base_seed == 4242
 
+    def test_env_seed_that_is_not_an_integer_is_named(self, monkeypatch):
+        monkeypatch.setenv("T3_SEED", "abc")
+        with pytest.raises(ValueError, match=r"^T3_SEED must be an integer, got 'abc'$"):
+            load_config()
+
 
 class TestLambdaSearch:
     def test_single_element_grid(self):
@@ -255,35 +260,20 @@ class TestPopulationRisk:
             risk = population_risk(clf, m, n, np.random.default_rng(seed))
             assert risk == self.fresh(clf, m, n, seed)
 
-    def test_a_reused_workspace_gives_the_fresh_values(self):
-        # the lambda search scores all its fits in one workspace; each call
-        # must redraw every buffer, whichever call came before
-        n = 5_000
-        pairs = zip(self.MIXTURES, self.CLASSIFIERS)
-        calls = [(clf, m, seed) for m, clf in pairs for seed in (3, 4)]
-        expected = [self.fresh(clf, m, n, seed) for clf, m, seed in calls]
-        for order in (calls, calls[::-1]):
-            work = DrawBuffers.empty(n)
-            got = [
-                population_risk(clf, m, n, np.random.default_rng(seed), work)
-                for clf, m, seed in order
-            ]
-            assert got == [expected[calls.index(c)] for c in order]
-
-    def test_a_warm_call_allocates_under_one_float_array(self):
-        # the risk draws and scores in its workspace: its peak traced
-        # allocation stays below one float64 array of n_mc (8 n_mc bytes)
+    def test_a_warm_call_peaks_under_3_2_float_arrays(self):
+        # the sample (z and its mask) plus the two arrays that the
+        # cross-entropy chain runs in: the peak traced allocation stays under
+        # 3.2 float64 arrays of n_mc, so no n-sized temporary is added
         n = 100_000
         m, clf = self.MIXTURES[0], self.CLASSIFIERS[0]
-        work = DrawBuffers.empty(n)
-        population_risk(clf, m, n, np.random.default_rng(0), work)
+        population_risk(clf, m, n, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            population_risk(clf, m, n, np.random.default_rng(1), work)
+            population_risk(clf, m, n, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n
+        assert peak < 3.2 * 8 * n
 
     @pytest.mark.parametrize("n_mc", [0, -1])
     def test_rejects_fewer_than_one_draw(self, n_mc):

@@ -103,6 +103,12 @@ class TestFitLM:
         with pytest.raises(ValueError):
             tl.fit_lm([], order=1, smoothing=0.1, vocab=("a",))
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rejects_a_token_outside_the_vocab_naming_the_doc(self, order):
+        docs = [("a", "b"), ("b", "a"), ("a", "zz", "b")]
+        with pytest.raises(ValueError, match=r"^doc 2: token 'zz' is not in the vocab$"):
+            tl.fit_lm(docs, order=order, smoothing=0.1, vocab=("a", "b"))
+
 
 def test_rejects_out_of_domain_settings(corpus, lm):
     for smoothing in (0.0, -1.0, math.nan, math.inf):
@@ -248,6 +254,11 @@ def test_train_head_rejects_a_bad_stream_before_any_work(corpus, lm):
         rows[3] = rows[3][:2] + (bad,)
         rows[7] = rows[7][:2] + (2,)
         with pytest.raises(ValueError, match=r"stream row 3: label must be 0 or 1, got " + repr(bad)):
+            tl.train_head(lm, rows, rng=rng)
+    for field, row in (("context", (("where", "zz"), "york", 1)), ("target", (("where",), "zz", 1))):
+        rows = list(stream)
+        rows[3] = row
+        with pytest.raises(ValueError, match=rf"^stream row 3: {field} token 'zz' is not in the vocab$"):
             tl.train_head(lm, rows, rng=rng)
     assert rng.bit_generator.state == state  # no weights were drawn
 
