@@ -24,7 +24,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -69,15 +69,15 @@ class ExperimentConfig:
     mu_r: float = 1.0
     mu_f: float = 0.0
     v_r: float = 1.0
-    v_f_grid: tuple = (1e-6, 1e-3, 1.0)
-    n_grid: tuple = (25, 50, 100, 200, 400)
+    v_f_grid: tuple[float, ...] = (1e-6, 1e-3, 1.0)
+    n_grid: tuple[int, ...] = (25, 50, 100, 200, 400)
     n: int = 50           # per-trial sample size for the forget-variance sweep
     v_f: float = 1e-3     # fixed forget variance for the sample-size sweep
-    t_grid: tuple = tuple(round(1.0 + 0.1 * i, 10) for i in range(21))
+    t_grid: tuple[float, ...] = tuple(round(1.0 + 0.1 * i, 10) for i in range(21))
     trials: int = 200
     # decades from 1e-8 up: sharp-spike instances have huge posterior weights,
     # so the risk-minimizing coefficient ranges over many orders of magnitude
-    lambda_grid: tuple = (
+    lambda_grid: tuple[float, ...] = (
         1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,
     )
     lambda_search_trials: int = 10
@@ -114,15 +114,12 @@ class ExperimentConfig:
         )
 
 
-_LIST_FIELDS = {"v_f_grid", "n_grid", "t_grid", "lambda_grid"}
-_INT_FIELDS = {"n", "trials", "lambda_search_trials", "n_mc", "n_mc_risk", "base_seed"}
-
-
-def _parse_value(key: str, val: str):
-    if key in _LIST_FIELDS:
-        items = [v.strip() for v in val.split(",") if v.strip()]
-        return tuple((int if key == "n_grid" else float)(v) for v in items)
-    return (int if key in _INT_FIELDS else float)(val)
+def _parse_value(kind, val: str):
+    """``val`` as the annotated type ``kind``, a tuple as comma-separated items."""
+    if get_args(kind):
+        item = get_args(kind)[0]
+        return tuple(item(v.strip()) for v in val.split(",") if v.strip())
+    return kind(val)
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -130,7 +127,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     values comma-separated).  An unknown or repeated key, or a value that
     does not parse, is rejected with the file, line and key.  The T3_SEED
     environment variable, when set, overrides base_seed last."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    types = get_type_hints(ExperimentConfig)
     values: dict = {}
     if path is not None:
         first_line: dict = {}
@@ -142,7 +139,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 if "=" not in line:
                     raise ValueError(f"{path}:{line_no}: expected 'key = value'")
                 key, val = (part.strip() for part in line.split("=", 1))
-                if key not in known:
+                if key not in types:
                     raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
                 if key in first_line:
                     raise ValueError(
@@ -150,7 +147,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                     )
                 first_line[key] = line_no
                 try:
-                    values[key] = _parse_value(key, val)
+                    values[key] = _parse_value(types[key], val)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     if overrides:
@@ -181,21 +178,9 @@ class TrialRecord:
     forget_se: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.seed),
-                repr(self.v_f),
-                str(self.n),
-                repr(self.T),
-                repr(self.lam),
-                repr(self.delta_hat),
-                repr(self.delta_se),
-                repr(self.retain_err),
-                repr(self.retain_se),
-                repr(self.forget_err),
-                repr(self.forget_se),
-            )
-        )
+        """The fields in order: ``repr`` for a float, ``str`` for anything else."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 CSV_HEADER = "seed,v_f,n,T,lambda,delta_hat,delta_se,retain_err,retain_se,forget_err,forget_se"
@@ -436,26 +421,36 @@ def soundness_reports_for_classifier(
     forget = forget_error(est, config.n_mc, rng)
     z_l1 = m.sample(rng, config.n_mc)
     l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
+    l1_row = bounds_mod.BoundReport(
+        bound_name="classifier_l1_upper",
+        inputs=inputs,
+        bound_value=bounds_mod.lemma1_l1_bound(delta_up),
+        measured_value=l1,
+        measured_std_err=l1_se,
+    )
+    thm2_bound = bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf)
 
-    def rows(i: int, suffix: str, row_inputs: dict, forget_bound: float) -> list:
-        # the retain, forget and partition rows at temps[i]; thm5 at T = 1
-        # is thm1 itself
-        T, ret, fog = temps[i], retain[i], forget[i]
-        return [
+    reports = []
+    for i, T in enumerate(temps):
+        # T = 1 checks thm1 (thm5 at T = 1), thm2, lemma 1 and lemma 2; the
+        # tempered T checks thm5, thm4 and lemma 2, and records T
+        suffix, row_inputs = ("_tempered", dict(inputs, T=T)) if i else ("", inputs)
+        reports += [
             bounds_mod.BoundReport(
                 bound_name="retain_upper" + suffix,
                 inputs=row_inputs,
                 bound_value=bounds_mod.thm5_retain_bound(m, delta_up, T),
-                measured_value=ret.value,
-                measured_std_err=ret.std_err,
+                measured_value=retain[i].value,
+                measured_std_err=retain[i].std_err,
             ),
             bounds_mod.BoundReport(
                 bound_name="forget_upper" + suffix,
                 inputs=row_inputs,
-                bound_value=forget_bound,
-                measured_value=fog.value,
-                measured_std_err=fog.std_err,
+                bound_value=bounds_mod.thm4_forget_bound(m, delta_up, T) if i else thm2_bound,
+                measured_value=forget[i].value,
+                measured_std_err=forget[i].std_err,
             ),
+            *([l1_row] if i == 0 else []),
             bounds_mod.BoundReport(
                 bound_name="partition_lower" + suffix,
                 inputs=row_inputs,
@@ -464,22 +459,6 @@ def soundness_reports_for_classifier(
                 measured_std_err=0.0,
             ),
         ]
-
-    untempered = rows(0, "", inputs, bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf))
-    reports = untempered[:2] + [
-        bounds_mod.BoundReport(
-            bound_name="classifier_l1_upper",
-            inputs=inputs,
-            bound_value=bounds_mod.lemma1_l1_bound(delta_up),
-            measured_value=l1,
-            measured_std_err=l1_se,
-        )
-    ] + untempered[2:]
-    if tempered_t is not None:
-        t_val = temps[1]
-        reports += rows(
-            1, "_tempered", dict(inputs, T=t_val), bounds_mod.thm4_forget_bound(m, delta_up, t_val)
-        )
     return reports
 
 

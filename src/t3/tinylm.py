@@ -122,12 +122,18 @@ def load_corpus(path) -> TinyCorpus:
                 if len(parts) != 5:
                     raise ValueError(f"{path}:{line_no}: expected 5 tab-separated fields")
                 split, q, a, para, perts = parts
-                yield split, QAPair(
-                    question=tuple(q.split()),
-                    answer=tuple(a.split()),
-                    paraphrase=tuple(para.split()),
-                    perturbed=tuple(tuple(p.split()) for p in perts.split("|")),
-                )
+                if split not in SPLITS:
+                    raise ValueError(f"{path}:{line_no}: unknown split {split!r}")
+                try:
+                    qa = QAPair(
+                        question=tuple(q.split()),
+                        answer=tuple(a.split()),
+                        paraphrase=tuple(para.split()),
+                        perturbed=tuple(tuple(p.split()) for p in perts.split("|")),
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+                yield split, qa
 
     return _corpus(items())
 
@@ -153,7 +159,10 @@ class TabularLM:
 
     def _ctx_ids(self, context: Sequence[str]) -> tuple[int, ...]:
         """The ids of the last ``order`` context tokens, left-padded with BOS."""
-        ids = [self.token_id[t] for t in context]
+        try:
+            ids = [self.token_id[t] for t in context]
+        except KeyError as exc:
+            raise ValueError(f"context token {exc.args[0]!r} is not in the vocab") from None
         return tuple([BOS] * max(0, self.order - len(ids)) + ids[-self.order :])
 
     def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
@@ -358,7 +367,10 @@ class ModelView:
         total = 0.0
         for tok in continuation:
             dist = self.next_dist(ctx)
-            p = float(dist[self.token_id[tok]])
+            try:
+                p = float(dist[self.token_id[tok]])
+            except KeyError:
+                raise ValueError(f"continuation token {tok!r} is not in the vocab") from None
             total += math.log(p) if p > 0.0 else -math.inf
             ctx.append(tok)
         return total

@@ -8,8 +8,9 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -208,6 +209,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
+    def test_every_field_parses_back_with_its_annotated_type(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("T3_SEED", raising=False)
+        lines = []
+        for f in fields(FAST):
+            value = getattr(FAST, f.name)
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "all.txt"
+        path.write_text("".join(lines))
+        cfg = load_config(str(path))
+        assert cfg == FAST
+        # == alone would let an int field come back as an equal float
+        for name, kind in get_type_hints(ExperimentConfig).items():
+            value = getattr(cfg, name)
+            if get_args(kind):
+                assert {type(v) for v in value} == {get_args(kind)[0]}, name
+            else:
+                assert type(value) is kind, name
+        assert type(cfg.n) is int and type(cfg.n_grid[0]) is int and type(cfg.gamma) is float
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("T3_SEED", raising=False)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+        assert block.startswith("gamma = ")
+        path = tmp_path / "readme.txt"
+        path.write_text(block)
+        assert load_config(str(path)) == ExperimentConfig()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.txt"
         path.write_text("base_seed = 7\n")
@@ -319,6 +349,38 @@ class TestEmit:
         assert float(fields[3]) == rec.T
         assert float(fields[5]) == rec.delta_hat  # repr round-trips bit-exactly
         assert float(fields[9]) == rec.forget_err
+
+    @staticmethod
+    def _explicit_csv_row(rec):
+        # the formatter that named each column, before csv_row followed the fields
+        return ",".join(
+            (
+                str(rec.seed),
+                repr(rec.v_f),
+                str(rec.n),
+                repr(rec.T),
+                repr(rec.lam),
+                repr(rec.delta_hat),
+                repr(rec.delta_se),
+                repr(rec.retain_err),
+                repr(rec.retain_se),
+                repr(rec.forget_err),
+                repr(rec.forget_se),
+            )
+        )
+
+    def test_csv_row_matches_the_explicit_formatter(self):
+        rec = self._tiny_table().records[0]
+        numpy_rec = TrialRecord(
+            seed=np.int64(5), v_f=np.float64(0.1), n=np.int64(7), T=np.float64(1.5),
+            lam=np.float64(1e-3), delta_hat=np.float64(0.01), delta_se=np.float64(1 / 3),
+            retain_err=np.float64(-0.0), retain_se=np.float64(2e-300),
+            forget_err=np.float64(0.03), forget_se=np.float64(0.003),
+        )
+        for r in (rec, numpy_rec, replace(rec, seed=2**64 - 1)):
+            assert r.csv_row() == self._explicit_csv_row(r)
+        assert rec.csv_row() == "5,0.1,7,1.5,0.001,0.01,0.001,0.02,0.002,0.03,0.003"
+        assert replace(rec, seed=2**64 - 1).csv_row().startswith("18446744073709551615,0.1,7,")
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

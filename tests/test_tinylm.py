@@ -2,6 +2,7 @@
 metric stack."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ class TestCorpus:
         path = tmp_path / "corpus.tsv"
         path.write_text("forget\tq z\tb\tb c\ta\nretain\tq y\ta\ta c\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no pairs in split ra, wf$"):
+            tl.load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("ra\ty\t\tb\ta\n", "question, answer, and paraphrase must be nonempty"),
+            ("retian\tq y\ta\ta c\tb\n", "unknown split 'retian'"),
+        ],
+    )
+    def test_load_names_the_file_and_line_of_a_bad_record(self, tmp_path, bad_line, message):
+        path = tmp_path / "corpus.tsv"
+        # the malformed last line shows the bad record fails as it is read
+        path.write_text(
+            "forget\tq z\tb\tb c\ta\n" + bad_line + "wf\tq\ta\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {re.escape(message)}$"):
             tl.load_corpus(path)
 
     def test_rejects_oversized_vocab(self):
@@ -318,6 +335,24 @@ class TestTiltedNextToken:
     def test_rejects_t_below_one(self, corpus, lm, trained_head):
         with pytest.raises(ValueError):
             tl.tilted_next_token(lm, trained_head, ("where",), 0.5)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_token_outside_the_vocab_is_named_with_its_role(corpus, order):
+    lm = tl.fit_lm(corpus.all_docs(), order=order, smoothing=1e-3, vocab=corpus.vocab)
+    head = _zero_head(len(lm.vocab), order, 4)
+    view = tl.ModelView(lm.vocab, lm.next_dist)
+    context = r"^context token 'zz' is not in the vocab$"
+    # the token sits outside the last-`order` window too, and is still named
+    for ctx in (("where", "zz"), ("zz", "does", "alia")):
+        with pytest.raises(ValueError, match=context):
+            lm.next_dist(ctx)
+        with pytest.raises(ValueError, match=context):
+            tl.tilted_next_token(lm, head, ctx, 2.0)
+        with pytest.raises(ValueError, match=context):
+            view.lennorm_prob(ctx, ("york",))
+    with pytest.raises(ValueError, match=r"^continuation token 'zz' is not in the vocab$"):
+        view.lennorm_prob(("where",), ("zz",))
 
 
 class TestTruthRatio:
