@@ -14,6 +14,7 @@ from .classifier import (
     TrainingError,
     bayes_classifier,
     estimate_excess_risk,
+    exact_excess_risk,
     train,
     witness_classifier,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "witness_classifier",
     "train",
     "estimate_excess_risk",
+    "exact_excess_risk",
     "T3Estimator",
     "build",
     "ErrorEstimate",

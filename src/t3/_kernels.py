@@ -6,16 +6,46 @@ sigmoid behind the classifiers and the tinylm head, the logistic loss that
 both trainers minimize, the Monte Carlo (mean, standard error) pair that
 every estimate reports, and the guard on every temperature.  This module
 imports nothing from the package, so any module may use it without a cycle.
+
+Importing it also sets the C heap to keep freed Monte Carlo arrays (see
+_keep_freed_arrays_in_heap).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 EXP_FLOOR = -700.0  # see _exp_neg_abs
+
+# glibc's mallopt parameters (malloc.h) and the values set at import
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_arrays_in_heap() -> bool:
+    """Serve allocations below MMAP_THRESHOLD from the heap, and return
+    freed heap memory to the system only once TRIM_THRESHOLD of it sits at
+    the top.  glibc's defaults map each 800 KB Monte Carlo array afresh or
+    trim it on free, so every new array page-faults its memory back in.
+    True when both mallopt calls succeed; False, with nothing set, where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
+HEAP_KEEPS_FREED_ARRAYS = _keep_freed_arrays_in_heap()
 
 
 def gauss_logpdf(z, mu, v):

@@ -2,8 +2,9 @@
 
 Quadratic-feature logistic regression over the univariate mixture (features
 [1, z, z^2]), the closed-form posterior classifier for Gaussian mixtures,
-the risk-saturating piecewise witness for disjoint uniform supports, and
-Monte Carlo excess-risk estimation.
+the risk-saturating piecewise witness for disjoint uniform supports, the
+exact population cross-entropy and L1 distance of quadratic-logit
+classifiers, and Monte Carlo excess-risk estimation.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from typing import Union
 
 import numpy as np
 
-from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid
-from .dist import Mixture, UniformComponent
+from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid, softplus
+from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
+LOGIT_CLAMP = math.log((1.0 - PRED_CLAMP) / PRED_CLAMP)  # the logit of 1 - PRED_CLAMP
 
 # damped-Newton settings of train()
 MAX_ITER = 10_000
@@ -67,6 +69,16 @@ class LabeledDataset:
         return cls(z=z, s=s)
 
 
+def _logits(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (k, n) logits w0 + z * (w1 + z * w2) of the k weight rows of w at
+    the points z, by Horner's rule in one fresh array."""
+    t = z * w[:, 2:3]
+    t += w[:, 1:2]
+    t *= z
+    t += w[:, 0:1]
+    return t
+
+
 @dataclass(frozen=True)
 class QuadClassifier:
     """sigmoid(w0 + w1*z + w2*z^2)."""
@@ -82,14 +94,7 @@ class QuadClassifier:
         object.__setattr__(self, "weights", w)
 
     def _logit(self, z) -> np.ndarray:
-        """w0 + z * (w1 + z * w2), Horner's rule in one fresh array."""
-        z = as_array(z)
-        w0, w1, w2 = self.weights
-        t = z * w2
-        t += w1
-        np.multiply(z, t, out=t)
-        t += w0
-        return t
+        return _logits(self.weights[None, :], as_array(z))[0]
 
     def predict(self, z) -> np.ndarray:
         """sigmoid of the logit, written over the logit's own fresh array."""
@@ -293,6 +298,81 @@ def witness_instance(gamma: float, delta: float) -> tuple[Mixture, PiecewiseClas
     risk delta."""
     m = Mixture(gamma, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
     return m, witness_classifier(delta, gamma, m.retain.support(), m.forget.support())
+
+
+def _quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, ...]:
+    """The finite real roots of a2 z^2 + a1 z + a0, without cancellation:
+    q = -(a1 + sign(a1) sqrt(a1^2 - 4 a2 a0)) / 2 gives the roots q / a2 and
+    a0 / q (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 5.6).  A
+    linear or constant polynomial has at most one root, and none is
+    returned for a constant one."""
+    if a2 == 0.0:
+        roots = (-a0 / a1,) if a1 != 0.0 else ()
+    else:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            return ()
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        roots = (q / a2, a0 / q) if q != 0.0 else (0.0,)
+    return tuple(r for r in roots if math.isfinite(r))
+
+
+def _weights(classifiers) -> np.ndarray:
+    """The (k, 3) weights of k quadratic-logit classifiers."""
+    for clf in classifiers:
+        if not isinstance(clf, QuadClassifier):
+            raise TypeError(f"need quadratic-logit classifiers, got {type(clf).__name__}")
+    return np.array([clf.weights for clf in classifiers], dtype=np.float64).reshape(-1, 3)
+
+
+def population_cross_entropy(m: Mixture, classifiers) -> np.ndarray:
+    """The exact population cross-entropy of each quadratic-logit classifier,
+    -int [(1-gamma) p_r ln f + gamma p_f ln(1-f)] with f clamped to
+    [PRED_CLAMP, 1 - PRED_CLAMP] as in cross_entropy_terms, one value per
+    classifier in order.
+
+    The clamp is a clip of the logit t to [-LOGIT_CLAMP, LOGIT_CLAMP], and
+    -ln f = softplus(-t), -ln(1-f) = softplus(t).  All k rows integrate as
+    one quadrature over quadrature_domain(m), pre-split also at every
+    classifier's clamp kinks, the roots of w0 + w1 z + w2 z^2 = +-LOGIT_CLAMP,
+    where the integrand bends."""
+    w = _weights(classifiers)
+    lo, hi, pts = quadrature_domain(m)
+    kinks = [r for w0, w1, w2 in w for c in (LOGIT_CLAMP, -LOGIT_CLAMP)
+             for r in _quadratic_roots(w2, w1, w0 - c)]
+    log_1mg, log_g = math.log1p(-m.gamma), math.log(m.gamma)
+
+    def integrand(z):
+        t = _logits(w, z)
+        np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP, out=t)
+        p_r = np.exp(m.retain.log_density(z) + log_1mg)
+        p_f = np.exp(m.forget.log_density(z) + log_g)
+        return p_r * softplus(-t) + p_f * softplus(t)
+
+    return quadrature(integrand, lo, hi, breakpoints=pts + tuple(kinks))
+
+
+def exact_excess_risk(clf: QuadClassifier, m: Mixture, bayes: QuadClassifier) -> float:
+    """L(clf) - L(bayes) from one two-row population_cross_entropy, floored
+    at 0 (the population value is nonnegative; the floor takes off
+    quadrature error when clf is the posterior itself)."""
+    risk, bayes_risk = population_cross_entropy(m, (clf, bayes))
+    return max(float(risk - bayes_risk), 0.0)
+
+
+def population_l1(m: Mixture, clf: QuadClassifier, other: QuadClassifier) -> float:
+    """The exact E_p |f(z) - g(z)| of two quadratic-logit classifiers under
+    the mixture: one quadrature over quadrature_domain(m), pre-split also at
+    the roots of the logit difference, where |f - g| has its kinks."""
+    w = _weights((clf, other))
+    lo, hi, pts = quadrature_domain(m)
+    kinks = _quadratic_roots(*(w[0] - w[1])[::-1])
+
+    def integrand(z):
+        f = sigmoid(_logits(w, z))
+        return np.exp(m.log_density(z)) * np.abs(f[0] - f[1])
+
+    return quadrature(integrand, lo, hi, breakpoints=pts + kinks)
 
 
 def estimate_excess_risk(

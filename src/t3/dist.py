@@ -204,9 +204,6 @@ class Mixture:
         hi += d
         return hi
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample_labeled(rng, n)[0]
-
     def sample_labeled(self, rng: np.random.Generator, n: int):
         """Draw (z, s) pairs: the label s ~ Bernoulli(1 - gamma) first
         (s True means retain), then z from the labeled component.  Both

@@ -9,7 +9,8 @@ spawned and the same cell and trial functions run in-process.
 
 A trial scores its whole temperature grid on one retain sample and one
 forget sample; a bound-soundness classifier likewise scores T = 1 and the
-tempered temperature, when one is asked for, on one sample of each.
+tempered temperature, when one is asked for, on one sample of each, and
+takes its excess risk and classifier L1 from quadrature.
 
 Determinism contract: every trial derives its rng stream from
 splitmix64(base_seed, stream tag, trial index), and every lambda-search fit
@@ -35,6 +36,8 @@ from .classifier import (
     bayes_classifier,
     cross_entropy_terms,
     estimate_excess_risk,
+    exact_excess_risk,
+    population_l1,
     train,
     witness_instance,
 )
@@ -178,9 +181,10 @@ class TrialRecord:
     forget_se: float
 
     def csv_row(self) -> str:
-        """The fields in order: ``repr`` for a float, ``str`` for anything else."""
+        """The fields in order: ``repr(float(v))`` for a float (a numpy float
+        too, so that ``float()`` reads it back), ``str`` for anything else."""
         values = (getattr(self, f.name) for f in fields(self))
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
 
 
 CSV_HEADER = "seed,v_f,n,T,lambda,delta_hat,delta_se,retain_err,retain_se,forget_err,forget_se"
@@ -402,33 +406,33 @@ def soundness_reports_for_classifier(
     tempered_t: Optional[float] = None,
 ) -> list[bounds_mod.BoundReport]:
     """Measure one classifier's errors and compare them against every bound
-    at delta_hat + 3 SE.  ``tempered_t`` adds the tempered-estimator rows at
-    that temperature (quadrature-heavy, so off by default in sweeps).
+    at its exact excess risk delta.  ``tempered_t`` adds the
+    tempered-estimator rows at that temperature (quadrature-heavy, so off by
+    default in sweeps).
 
-    After the excess-risk draws, one retain sample and one forget sample
-    score T = 1 and ``tempered_t`` together (common random numbers, as in
-    run_trial), and then the L1 sample is drawn, so the untempered rows are
-    the same with or without ``tempered_t``.  Each Z is its own one-row
-    ``build``, for the same reason."""
+    delta comes from exact_excess_risk and lemma 1's E_p|f* - f| from
+    population_l1, both quadratures, so the L1 row's standard error is 0.
+    The only draws are one retain sample and one forget sample, which score
+    T = 1 and ``tempered_t`` together (common random numbers, as in
+    run_trial), so the untempered rows are the same with or without
+    ``tempered_t``.  Each Z is its own one-row ``build``, for the same
+    reason."""
     bayes = bayes_classifier(m)
-    delta_hat, delta_se = estimate_excess_risk(clf, m, bayes, config.n_mc_risk, rng)
-    delta_up = delta_hat + 3.0 * delta_se
+    delta = exact_excess_risk(clf, m, bayes)
     pf_inf = m.forget.peak_density()
-    inputs = dict(inputs or {}, delta_up=delta_up, pf_inf=pf_inf)
+    inputs = dict(inputs or {}, delta=delta, pf_inf=pf_inf)
     temps = (1.0,) if tempered_t is None else (1.0, float(tempered_t))
     est = T3Estimator(m, clf, temps, tuple(build(m, clf, [T]).partitions[0] for T in temps))
     retain = retain_error(est, config.n_mc, rng)
     forget = forget_error(est, config.n_mc, rng)
-    z_l1 = m.sample(rng, config.n_mc)
-    l1, l1_se = mean_se(np.abs(bayes.predict(z_l1) - clf.predict(z_l1)))
     l1_row = bounds_mod.BoundReport(
         bound_name="classifier_l1_upper",
         inputs=inputs,
-        bound_value=bounds_mod.lemma1_l1_bound(delta_up),
-        measured_value=l1,
-        measured_std_err=l1_se,
+        bound_value=bounds_mod.lemma1_l1_bound(delta),
+        measured_value=population_l1(m, bayes, clf),
+        measured_std_err=0.0,
     )
-    thm2_bound = bounds_mod.thm2_forget_bound(delta_up, m.gamma, pf_inf)
+    thm2_bound = bounds_mod.thm2_forget_bound(delta, m.gamma, pf_inf)
 
     reports = []
     for i, T in enumerate(temps):
@@ -439,14 +443,14 @@ def soundness_reports_for_classifier(
             bounds_mod.BoundReport(
                 bound_name="retain_upper" + suffix,
                 inputs=row_inputs,
-                bound_value=bounds_mod.thm5_retain_bound(m, delta_up, T),
+                bound_value=bounds_mod.thm5_retain_bound(m, delta, T),
                 measured_value=retain[i].value,
                 measured_std_err=retain[i].std_err,
             ),
             bounds_mod.BoundReport(
                 bound_name="forget_upper" + suffix,
                 inputs=row_inputs,
-                bound_value=bounds_mod.thm4_forget_bound(m, delta_up, T) if i else thm2_bound,
+                bound_value=bounds_mod.thm4_forget_bound(m, delta, T) if i else thm2_bound,
                 measured_value=forget[i].value,
                 measured_std_err=forget[i].std_err,
             ),
@@ -455,7 +459,7 @@ def soundness_reports_for_classifier(
                 bound_name="partition_lower" + suffix,
                 inputs=row_inputs,
                 bound_value=est.partitions[i],
-                measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta_up, T),
+                measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta, T),
                 measured_std_err=0.0,
             ),
         ]
@@ -468,8 +472,8 @@ def run_soundness_sweep(
     tempered_t: Optional[float] = None,
 ) -> list[bounds_mod.BoundReport]:
     """Train classifiers on randomized instances, measure errors, and record
-    a soundness row per bound at delta_hat + 3 SE; then add ten rows checking
-    the forget-error lower bound on witness instances.
+    a soundness row per bound at the exact excess risk; then add ten rows
+    checking the forget-error lower bound on witness instances.
 
     Upper bounds are reported as measured <= bound; the lower bounds (the
     witness forget bound, the partition bound) swap roles so the recorded

@@ -319,7 +319,7 @@ def sweep():
     m = cfg.mixture(1.0)
     bayes = bayes_classifier(m)
     phi_star = float(np.linalg.norm(bayes.weights))
-    z = m.sample(np.random.default_rng(derive_seed(cfg.base_seed, 80)), 10**6)
+    z = m.sample_labeled(np.random.default_rng(derive_seed(cfg.base_seed, 80)), 10**6)[0]
     feat_sq = float(np.mean(np.sum(quadratic_features(z) ** 2, axis=1)))
     out = {}
     for n in (100, 400, 1600):

@@ -1,5 +1,5 @@
-"""Training, the closed-form posterior, the witness, the cross-entropy terms
-and excess risk."""
+"""Training, the closed-form posterior, the witness, the cross-entropy terms,
+excess risk, and the exact population cross-entropy and L1."""
 
 import math
 import tracemalloc
@@ -17,11 +17,15 @@ from t3.classifier import (
     QuadClassifier,
     TrainingError,
     _objective,
+    _quadratic_roots,
     _train,
     bayes_classifier,
     cross_entropy_terms,
     estimate_excess_risk,
+    exact_excess_risk,
     indicator_classifier,
+    population_cross_entropy,
+    population_l1,
     quadratic_features,
     train,
     witness_classifier,
@@ -322,6 +326,82 @@ class TestExcessRisk:
         assert peak < 4.2 * 8 * n
 
 
+class TestExactRiskAndL1:
+    # fixed before the first run: 40 instances, each checked at 4 SE, and
+    # the count of failing instances must be 0
+    INSTANCES = 40
+    K_SE = 4.0
+
+    def test_exact_values_match_monte_carlo_on_soundness_instances(self):
+        # the instance family of run_soundness_sweep: the config mixture with
+        # v_f = 10^U(-4, 0), n in [50, 400) and lambda = 10^U(-6, -1)
+        failing = []
+        for i in range(self.INSTANCES):
+            rng = np.random.default_rng([23, i])
+            v_f = float(10.0 ** rng.uniform(-4.0, 0.0))
+            n = int(rng.integers(50, 400))
+            lam = float(10.0 ** rng.uniform(-6.0, -1.0))
+            m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+            clf, bayes = train(_dataset(m, n, [24, i]), lam), bayes_classifier(m)
+            delta, l1 = exact_excess_risk(clf, m, bayes), population_l1(m, bayes, clf)
+            d_hat, d_se = estimate_excess_risk(clf, m, bayes, 10**5, rng)
+            z = m.sample_labeled(rng, 10**5)[0]
+            l1_hat, l1_se = mean_se(np.abs(bayes.predict(z) - clf.predict(z)))
+            if not (abs(d_hat - delta) <= self.K_SE * d_se
+                    and abs(l1_hat - l1) <= self.K_SE * l1_se):
+                failing.append((i, v_f, n, lam, delta, d_hat, d_se, l1, l1_hat, l1_se))
+        assert failing == []
+
+    def test_one_quadrature_gives_each_row_its_own_value(self):
+        clfs = [QuadClassifier(np.array(w)) for w in ([0.4, -1.5, 2.0], [3.0, 0.0, -40.0])]
+        both = population_cross_entropy(DEFAULT, clfs)
+        assert both.shape == (2,)
+        for clf, value in zip(clfs, both):
+            (alone,) = population_cross_entropy(DEFAULT, [clf])
+            assert abs(alone - value) <= 1e-9
+
+    def test_bayes_against_itself_is_zero(self):
+        bayes = bayes_classifier(DEFAULT)
+        assert exact_excess_risk(bayes, DEFAULT, bayes) == 0.0
+        assert population_l1(DEFAULT, bayes, bayes) == 0.0
+
+    def test_constant_half_is_ln_2(self):
+        (risk,) = population_cross_entropy(DEFAULT, [QuadClassifier(np.zeros(3))])
+        assert abs(risk - math.log(2.0)) <= 1e-9
+
+    def test_saturated_classifier_pays_the_clamp(self):
+        # f = 1 - PRED_CLAMP everywhere after the clamp: the retain mass pays
+        # -ln(1 - c) and the forget mass -ln(c)
+        (risk,) = population_cross_entropy(DEFAULT, [QuadClassifier(np.array([1e3, 0.0, 0.0]))])
+        expected = -(0.9 * math.log1p(-PRED_CLAMP) + 0.1 * math.log(PRED_CLAMP))
+        assert abs(risk - expected) <= 1e-9
+
+    def test_rejects_a_classifier_without_a_quadratic_logit(self):
+        m, wit = witness_instance(0.1, 0.01)
+        with pytest.raises(TypeError, match="quadratic-logit"):
+            population_cross_entropy(m, [wit])
+        with pytest.raises(TypeError, match="quadratic-logit"):
+            population_l1(m, QuadClassifier(np.zeros(3)), wit)
+
+
+class TestQuadraticRoots:
+    def test_small_root_keeps_its_digits(self):
+        # z^2 + 1e8 z + 1: the textbook formula cancels the small root to 0
+        small, large = sorted(_quadratic_roots(1.0, 1e8, 1.0), key=abs)
+        assert abs(small - -1e-8) <= 1e-22 and abs(large - -1e8) <= 1e-6
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ((1.0, -3.0, 2.0), (1.0, 2.0)),
+        ((2.0, 0.0, -8.0), (-2.0, 2.0)),
+        ((1.0, 0.0, 0.0), (0.0,)),
+        ((0.0, 2.0, -1.0), (0.5,)),
+        ((1.0, 0.0, 1.0), ()),
+        ((0.0, 0.0, 1.0), ()),
+    ])
+    def test_roots(self, coeffs, roots):
+        assert sorted(_quadratic_roots(*coeffs)) == pytest.approx(roots, abs=1e-15)
+
+
 class TestLemma1Property:
     def test_l1_error_bounded_by_sqrt_half_delta(self):
         rng = np.random.default_rng(31)
@@ -330,7 +410,7 @@ class TestLemma1Property:
             d = _dataset(DEFAULT, 150, 100 + seed)
             clf = train(d, 1e-3)
             d_hat, d_se = estimate_excess_risk(clf, DEFAULT, bayes, 10**5, rng)
-            z = DEFAULT.sample(rng, 10**5)
+            z = DEFAULT.sample_labeled(rng, 10**5)[0]
             l1, l1_se = mean_se(np.abs(bayes.predict(z) - clf.predict(z)))
             bound = math.sqrt(max(d_hat + 3 * d_se, 0.0) / 2.0)
             assert l1 <= bound + 3 * l1_se

@@ -75,7 +75,7 @@ WITNESSES = [
 def _mixture_points(m, rng):
     # draws from both components, each component's center, and a wide spread
     return np.concatenate([
-        m.sample(rng, 4000),
+        m.sample_labeled(rng, 4000)[0],
         m.forget.sample(rng, 1000),
         rng.uniform(-40.0, 40.0, 1000),
         [0.0, 0.5, 1.0, 2.0, 3.0, -1e3, 1e3],
@@ -137,7 +137,7 @@ class TestMixtureLogDensity:
         # log-sum-exp runs in place, so the peak traced allocation stays at
         # three float64 arrays of n
         n = 100_000
-        z = m.sample(np.random.default_rng(0), n)
+        z = m.sample_labeled(np.random.default_rng(0), n)[0]
         m.log_density(z)
         tracemalloc.start()
         try:
@@ -162,8 +162,8 @@ class TestSampling:
 
     def test_same_seed_reproduces(self):
         m = Mixture(0.25, GaussianComponent(0.0, 1.0), UniformComponent(3.0, 4.0))
-        a = m.sample(np.random.default_rng(123), 1000)
-        b = m.sample(np.random.default_rng(123), 1000)
+        a = m.sample_labeled(np.random.default_rng(123), 1000)[0]
+        b = m.sample_labeled(np.random.default_rng(123), 1000)[0]
         np.testing.assert_array_equal(a, b)
 
     # The samplers scale and shift one buffer of standard draws in place, and

@@ -273,7 +273,7 @@ class TestTemperedOracle:
             lambda z: est.density(z)[0] * DEFAULT.log_density(z), DEFAULT, tau, 1e-9
         )
         rng = np.random.default_rng(4)
-        z = DEFAULT.sample(rng, 10**6)
+        z = DEFAULT.sample_labeled(rng, 10**6)[0]
         w = est.density(z)[0] / np.exp(DEFAULT.log_density(z))
         vals = DEFAULT.log_density(z)
         mean_w = float(np.mean(w))
