@@ -19,7 +19,14 @@ from .classifier import (
     witness_classifier,
 )
 from .estimator import T3Estimator, build
-from .metrics import ErrorEstimate, closed_form_errors, forget_error, retain_error
+from .metrics import (
+    ErrorEstimate,
+    closed_form_errors,
+    exact_forget_error,
+    exact_retain_error,
+    forget_error,
+    retain_error,
+)
 
 __version__ = "0.1.0"
 
@@ -43,6 +50,8 @@ __all__ = [
     "ErrorEstimate",
     "retain_error",
     "forget_error",
+    "exact_retain_error",
+    "exact_forget_error",
     "closed_form_errors",
     "__version__",
 ]

@@ -21,7 +21,12 @@ temperatures each integral passes:
   which p^c is a tempered density.  For T >= 2, k = T drives c to zero and
   the true integral over the real line diverges; the evaluator then returns
   the (finite) length of the [T] window;
-- thm5's two numerators: (1, T), pre-split also at the |ln p| kinks.
+- thm5's two numerators: (1, T), pre-split also at the |ln p| kinks, the
+  roots of ln p from ``dist.sign_change_roots``.
+
+The measurements the bounds are checked against (``harness``) are exact
+too: delta, lemma 1's L1 and both errors come from quadrature, so every
+soundness row has a standard error of 0.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import check_temperature
-from .dist import Mixture, quadrature, quadrature_domain
+from .dist import Mixture, quadrature, quadrature_domain, sign_change_roots
 from .estimator import build, oracle_classifier
 
 DEFAULT_TAU_POINTS = 25
@@ -46,8 +51,9 @@ class BoundReport:
     3 * measured_std_err``.  Upper bounds store the measured error on the
     left and the bound on the right; lower bounds (the forget-error lower
     bound, the partition lower bound) swap the roles so the same inequality
-    expresses their claim.  A relative 1e-12 slack absorbs last-ulp noise on
-    equality instances whose Monte Carlo spread is exactly zero.
+    expresses their claim.  A relative 1e-12 slack absorbs the rounding and
+    quadrature noise of exact measurements (standard error 0), which on the
+    witness equality instances sit on the bound itself.
     """
 
     bound_name: str
@@ -205,33 +211,6 @@ def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
     return bias + term2 + term3
 
 
-def _unit_density_crossings(m: Mixture, lo: float, hi: float, seeds=()) -> list[float]:
-    """Roots of ln p(z) inside (lo, hi): the kinks of |ln p(z)|.
-
-    Found by a sign scan over a 4096-point grid plus the ``seeds`` inside
-    the window, then bisection of every bracketed root at once, each root
-    stopping at its own tolerance.  The seeds matter: a sharp spike's
-    positive-ln p core can be far narrower than the grid step, and its
-    quadrature seeds (core and +-1 stddev) land inside it."""
-    z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
-    lp = m.log_density(z)
-    (cols,) = np.nonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0)
-    a, b, fa = z[cols], z[cols + 1], lp[cols]
-    live = np.ones(cols.size, dtype=bool)
-    for _ in range(80):
-        if not live.any():
-            break
-        mid = 0.5 * (a + b)
-        fm = m.log_density(mid)
-        left = fa * fm <= 0.0
-        move = live & ~left
-        b = np.where(live & left, mid, b)
-        a = np.where(move, mid, a)
-        fa = np.where(move, fm, fa)
-        live &= ~(b - a < 1e-14 * np.maximum(1.0, np.abs(mid)))
-    return (0.5 * (a + b)).tolist()
-
-
 def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
     """Retain Error bound for the T-tempered estimator:
 
@@ -260,7 +239,7 @@ def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
 
     taus = np.array([1.0, T])
     lo, hi, seeds = quadrature_domain(m, taus)
-    seeds += tuple(_unit_density_crossings(m, lo, hi, seeds))
+    seeds += sign_change_roots(m.log_density, lo, hi, seeds)
 
     def integrand(z):
         lp = m.log_density(z)

@@ -121,15 +121,17 @@ def _cmd_verify_lb(args) -> int:
     from .bounds import thm3_forget_lower_bound
     from .classifier import witness_instance
     from .estimator import build
-    from .metrics import closed_form_errors, forget_error
+    from .metrics import closed_form_errors, exact_forget_error, forget_error
 
     gamma, delta = args.gamma, args.delta
     m, wit = witness_instance(gamma, delta)
     retain_cf, forget_cf = closed_form_errors(m, wit)
     lb = thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
-    rng = np.random.default_rng(args.seed)
-    (fog,) = forget_error(build(m, wit, [1.0]), 100_000, rng)
+    est = build(m, wit, [1.0])
+    (exact,) = exact_forget_error(est)
+    (fog,) = forget_error(est, 100_000, np.random.default_rng(args.seed))
     gap = abs(forget_cf - lb)
+    exact_rel = abs(exact - forget_cf) / forget_cf
     # the witness integrand is constant on the forget support, so the MC
     # spread can be exactly zero; compare with a machine-noise floor
     mc_gap = abs(fog.value - forget_cf)
@@ -139,8 +141,9 @@ def _cmd_verify_lb(args) -> int:
     print(f"  closed-form forget err  = {forget_cf:.12f}")
     print(f"  lower-bound formula     = {lb:.12f}   |gap| = {gap:.3e}")
     print(f"  closed-form retain err  = {retain_cf:.12f}")
+    print(f"  exact forget err        = {exact:.12f}   |rel diff| = {exact_rel:.3e}")
     print(f"  MC forget err           = {fog.value:.12f} +- {fog.std_err:.2e}  (|diff| = {mc_gap:.2e})")
-    ok = gap <= 1e-12 and mc_gap <= mc_tol
+    ok = gap <= 1e-12 and exact_rel <= 1e-12 and mc_gap <= mc_tol
     print("  equality instance:", "OK" if ok else "MISMATCH")
     return 0 if ok else 1
 

@@ -1,6 +1,7 @@
 """Univariate component densities, their gamma-weighted mixture, analytic
-tempering, exact sampling, an adaptive Gauss-Kronrod quadrature oracle, and
-the one domain (window and breakpoints) over which it integrates a mixture.
+tempering, exact sampling, an adaptive Gauss-Kronrod quadrature oracle, the
+one domain (window and breakpoints) over which it integrates a mixture, and
+the one root finder that adds an integrand's kinks to those breakpoints.
 
 Two component families are provided: Gaussians (the synthetic-experiment
 world) and uniform intervals (the family on which the forget-error lower
@@ -23,6 +24,8 @@ WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
 MAX_EVALUATIONS = 1_000_000  # integrand values (points x rows) per quadrature
 LOG_SUM_EXP_FLOOR = -40.0  # floor of min - max in Mixture.log_density; e^-40 = 4.2e-18
+ROOT_SCAN_POINTS = 4096  # evenly spaced points of sign_change_roots' scan
+ROOT_MAX_BISECTIONS = 80  # bisection steps per bracket before sign_change_roots stops
 
 # The Gauss-Kronrod 7/15 pair on [-1, 1], from QUADPACK's dqk15 (Piessens et
 # al., QUADPACK, Springer 1983): the positive Kronrod nodes and their weights,
@@ -235,6 +238,8 @@ def quadrature_domain(
     tail mass is 1.3e-12.  The panel beyond is wide next to a narrow spike,
     so its nodes may not see the tail at all; at +-6 stddev that tail holds
     1e-9, more than the default tolerance."""
+    if len(temperatures) == 0:
+        raise ValueError("quadrature_domain needs at least one temperature")
     t_max = max(temperatures)
     means, stds, edges = [], [], []
     pts = set()
@@ -254,6 +259,46 @@ def quadrature_domain(
     lo = min([min(means) - WINDOW_STDDEVS * smax, *edges])
     hi = max([max(means) + WINDOW_STDDEVS * smax, *edges])
     return lo, hi, tuple(sorted(pts))
+
+
+def sign_change_roots(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    breakpoints: Sequence[float] = (),
+    rtol: float = 1e-14,
+) -> tuple[float, ...]:
+    """The sign changes inside (lo, hi) of every row of g, sorted: the kinks
+    of |g|, to pass to ``quadrature`` with ``breakpoints``.
+
+    ``g`` is vectorised as a quadrature integrand is: it maps n points to
+    (n,) values or to a (k, n) block of k rows.  A scan of ROOT_SCAN_POINTS
+    evenly spaced points plus the ``breakpoints`` inside the window
+    brackets every row's sign flips; the breakpoints matter, since a sharp
+    spike can be far narrower than the grid step, and a quadrature domain's
+    breakpoints land inside it.  All brackets of all rows are then bisected
+    at once, each on its own row, and each stops once its width is below
+    rtol * max(1, |midpoint|) or after ROOT_MAX_BISECTIONS steps.  Only
+    signs are compared, so a zero or NaN value never brackets and no
+    product of two values can underflow or turn 0 * inf into NaN."""
+    z = np.union1d(np.linspace(lo, hi, ROOT_SCAN_POINTS), [b for b in breakpoints if lo < b < hi])
+    s = np.sign(np.atleast_2d(g(z)))
+    rows, cols = np.nonzero(s[:, :-1] * s[:, 1:] < 0.0)
+    a, b, sa = z[cols], z[cols + 1], s[rows, cols]
+    at = np.arange(cols.size)
+    live = np.ones(cols.size, dtype=bool)
+    for _ in range(ROOT_MAX_BISECTIONS):
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        sm = np.sign(np.atleast_2d(g(mid))[rows, at])
+        left = sa * sm <= 0.0
+        move = live & ~left
+        b = np.where(live & left, mid, b)
+        a = np.where(move, mid, a)
+        sa = np.where(move, sm, sa)
+        live &= ~(b - a < rtol * np.maximum(1.0, np.abs(mid)))
+    return tuple(np.sort(0.5 * (a + b)).tolist())
 
 
 def quadrature(

@@ -14,6 +14,7 @@ breakpoints of every T in the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,14 @@ class T3Estimator:
                 f"need one partition per temperature, got {len(self.partitions)} "
                 f"for {len(self.temperatures)}"
             )
+        for i, T in enumerate(self.temperatures):
+            try:
+                check_temperature(T)
+            except ValueError as exc:
+                raise ValueError(f"temperatures[{i}]: {exc}") from None
+        for i, z in enumerate(self.partitions):
+            if not 0.0 < z < math.inf:
+                raise ValueError(f"partitions[{i}] must be finite and > 0, got {z!r}")
 
     def density(self, z, log_p=None) -> np.ndarray:
         """p(z)^(1/T) * f(z) / Z as a (k, n) block, one row per T; no
@@ -70,8 +79,6 @@ def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:
 
     lo, hi, seeds = quadrature_domain(m, temps)
     z_vals = quadrature(integrand, lo, hi, breakpoints=seeds)
-    if not np.all(z_vals > 0.0):
-        raise ValueError(f"partition must be positive, got {z_vals.min()}")
     return T3Estimator(m, clf, tuple(temps.tolist()), tuple(z_vals.tolist()))
 
 

@@ -8,9 +8,9 @@ pool then runs every trial of every group.  With one worker nothing is
 spawned and the same cell and trial functions run in-process.
 
 A trial scores its whole temperature grid on one retain sample and one
-forget sample; a bound-soundness classifier likewise scores T = 1 and the
-tempered temperature, when one is asked for, on one sample of each, and
-takes its excess risk and classifier L1 from quadrature.
+forget sample.  A bound-soundness classifier draws nothing once trained:
+its excess risk, classifier L1 and both errors, at T = 1 and at the
+tempered temperature when one is asked for, all come from quadrature.
 
 Determinism contract: every trial derives its rng stream from
 splitmix64(base_seed, stream tag, trial index), and every lambda-search fit
@@ -43,7 +43,7 @@ from .classifier import (
 )
 from .dist import GaussianComponent, Mixture
 from .estimator import T3Estimator, build
-from .metrics import forget_error, retain_error
+from .metrics import exact_forget_error, exact_retain_error, forget_error, retain_error
 
 SEED_ENV = "T3_SEED"
 
@@ -398,33 +398,31 @@ def run_experiment2(config: ExperimentConfig, workers: int = 1) -> SweepTable:
 # ---------------------------------------------------------------------------
 
 def soundness_reports_for_classifier(
-    config: ExperimentConfig,
     m: Mixture,
     clf,
-    rng: np.random.Generator,
     inputs: Optional[dict] = None,
     tempered_t: Optional[float] = None,
 ) -> list[bounds_mod.BoundReport]:
-    """Measure one classifier's errors and compare them against every bound
-    at its exact excess risk delta.  ``tempered_t`` adds the
+    """Measure one classifier's errors exactly and compare them against
+    every bound at its exact excess risk delta.  ``tempered_t`` adds the
     tempered-estimator rows at that temperature (quadrature-heavy, so off by
     default in sweeps).
 
-    delta comes from exact_excess_risk and lemma 1's E_p|f* - f| from
-    population_l1, both quadratures, so the L1 row's standard error is 0.
-    The only draws are one retain sample and one forget sample, which score
-    T = 1 and ``tempered_t`` together (common random numbers, as in
-    run_trial), so the untempered rows are the same with or without
-    ``tempered_t``.  Each Z is its own one-row ``build``, for the same
-    reason."""
+    Nothing is drawn: delta comes from exact_excess_risk, lemma 1's
+    E_p|f* - f| from population_l1, and the retain and forget errors from
+    exact_retain_error and exact_forget_error, all quadratures, so every
+    row's standard error is 0 and two calls give the same rows.  Each Z is
+    its own one-row ``build``, and each error integrates a temperature on
+    its own domain, so the untempered rows are the same with or without
+    ``tempered_t``."""
     bayes = bayes_classifier(m)
     delta = exact_excess_risk(clf, m, bayes)
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta=delta, pf_inf=pf_inf)
     temps = (1.0,) if tempered_t is None else (1.0, float(tempered_t))
     est = T3Estimator(m, clf, temps, tuple(build(m, clf, [T]).partitions[0] for T in temps))
-    retain = retain_error(est, config.n_mc, rng)
-    forget = forget_error(est, config.n_mc, rng)
+    retain = exact_retain_error(est)
+    forget = exact_forget_error(est)
     l1_row = bounds_mod.BoundReport(
         bound_name="classifier_l1_upper",
         inputs=inputs,
@@ -444,15 +442,15 @@ def soundness_reports_for_classifier(
                 bound_name="retain_upper" + suffix,
                 inputs=row_inputs,
                 bound_value=bounds_mod.thm5_retain_bound(m, delta, T),
-                measured_value=retain[i].value,
-                measured_std_err=retain[i].std_err,
+                measured_value=retain[i],
+                measured_std_err=0.0,
             ),
             bounds_mod.BoundReport(
                 bound_name="forget_upper" + suffix,
                 inputs=row_inputs,
                 bound_value=bounds_mod.thm4_forget_bound(m, delta, T) if i else thm2_bound,
-                measured_value=forget[i].value,
-                measured_std_err=forget[i].std_err,
+                measured_value=forget[i],
+                measured_std_err=0.0,
             ),
             *([l1_row] if i == 0 else []),
             bounds_mod.BoundReport(
@@ -471,9 +469,13 @@ def run_soundness_sweep(
     n_classifiers: int = 50,
     tempered_t: Optional[float] = None,
 ) -> list[bounds_mod.BoundReport]:
-    """Train classifiers on randomized instances, measure errors, and record
-    a soundness row per bound at the exact excess risk; then add ten rows
-    checking the forget-error lower bound on witness instances.
+    """Train classifiers on randomized instances, measure their errors
+    exactly, and record a soundness row per bound at the exact excess risk;
+    then add ten rows checking the forget-error lower bound on witness
+    instances, each the exact forget error of the estimator built on the
+    witness classifier.  The only draws are each instance's parameters and
+    training data; every measured value is a quadrature with standard
+    error 0.
 
     Upper bounds are reported as measured <= bound; the lower bounds (the
     witness forget bound, the partition bound) swap roles so the recorded
@@ -490,12 +492,7 @@ def run_soundness_sweep(
         clf = train(data, lam)
         reports.extend(
             soundness_reports_for_classifier(
-                config,
-                m,
-                clf,
-                rng,
-                inputs={"v_f": v_f, "n": n, "lambda": lam},
-                tempered_t=tempered_t,
+                m, clf, inputs={"v_f": v_f, "n": n, "lambda": lam}, tempered_t=tempered_t
             )
         )
 
@@ -504,15 +501,15 @@ def run_soundness_sweep(
         gamma = float(rng.uniform(0.05, 0.5))
         delta = float(10.0 ** rng.uniform(-4.0, -1.0))
         m, wit = witness_instance(gamma, delta)
-        (fog,) = forget_error(build(m, wit, [1.0]), config.n_mc, rng)
+        (fog,) = exact_forget_error(build(m, wit, [1.0]))
         lb = bounds_mod.thm3_forget_lower_bound(delta, gamma, m.forget.peak_density())
         reports.append(
             bounds_mod.BoundReport(
                 bound_name="forget_lower_witness",
                 inputs={"gamma": gamma, "delta": delta},
-                bound_value=fog.value,
+                bound_value=fog,
                 measured_value=lb,
-                measured_std_err=fog.std_err,
+                measured_std_err=0.0,
             )
         )
     return reports

@@ -3,8 +3,11 @@
 Retain Error is the forward KL divergence KL(p_r || p_hat), estimated as a
 Monte Carlo average of log-density differences under p_r.  Forget Error is
 the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  Each metric scores
-every temperature of an estimator's grid on one shared sample.  On the disjoint-uniform
-witness family both have closed forms, evaluated here by finite algebra.
+every temperature of an estimator's grid on one shared sample.  Both are
+1-d integrals, so each also has an exact form by quadrature, which the
+bound-soundness rows measure and the tests hold the Monte Carlo estimates
+to.  On the disjoint-uniform witness family both have closed forms,
+evaluated here by finite algebra.
 """
 
 from __future__ import annotations
@@ -15,11 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mean_se
-from .classifier import PRED_CLAMP, PiecewiseClassifier
-from .dist import Mixture, UniformComponent
+from .classifier import LOGIT_CLAMP, PRED_CLAMP, PiecewiseClassifier, _quadratic_roots
+from .dist import (
+    Mixture,
+    UniformComponent,
+    quadrature,
+    quadrature_domain,
+    sign_change_roots,
+)
 from .estimator import T3Estimator
 
 LOG_CLAMP = math.log(PRED_CLAMP)
+FORGET_ROOT_RTOL = 1e-9  # relative width at which exact_forget_error's kinks stop
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,75 @@ def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
         np.abs(terms, out=terms)
         estimates.append(ErrorEstimate(*mean_se(terms), n_mc))
     return estimates
+
+
+def _jumps(clf) -> tuple[float, ...]:
+    """Where the classifier's prediction jumps: a piecewise classifier's
+    support edges; a quadratic logit has none."""
+    if isinstance(clf, PiecewiseClassifier):
+        return (*clf.retain_support, *clf.forget_support)
+    return ()
+
+
+def exact_retain_error(e: T3Estimator) -> list[float]:
+    """KL(p_r || p_hat) at every temperature of ``e`` by quadrature, with
+    ln f floored at ln PRED_CLAMP as in retain_error:
+
+        -H(p_r) - A / T - B + ln Z_T,   A = int p_r ln p,
+                                        B = int p_r max(ln f, ln PRED_CLAMP).
+
+    A and B do not depend on T: they are one two-row quadrature over
+    quadrature_domain(m), so a temperature's value is the same whatever
+    else is in the grid.  It is pre-split also where the floor starts, the
+    roots of w0 + w1 z + w2 z^2 = -LOGIT_CLAMP (a piecewise classifier's
+    support edges instead).  p_r ln p is read as 0 where p_r vanishes (off a
+    uniform support ln p may be -inf, and 0 * inf would be NaN)."""
+    m, clf = e.mixture, e.classifier
+    lo, hi, pts = quadrature_domain(m)
+    if isinstance(clf, PiecewiseClassifier):
+        pts += _jumps(clf)
+    else:
+        w0, w1, w2 = clf.weights
+        pts += _quadratic_roots(w2, w1, w0 + LOGIT_CLAMP)
+
+    def integrand(z):
+        log_pr = m.retain.log_density(z)
+        p_r = np.exp(log_pr)
+        log_p = np.where(p_r > 0.0, m.log_density(z, log_pr), 0.0)
+        log_f = np.maximum(clf.log_predict(z), LOG_CLAMP)
+        return p_r * np.stack([log_p, log_f])
+
+    a, b = quadrature(integrand, lo, hi, breakpoints=pts)
+    h_r = m.retain.entropy()
+    return [float(-h_r - a / T - b + math.log(z)) for T, z in zip(e.temperatures, e.partitions)]
+
+
+def exact_forget_error(e: T3Estimator) -> list[float]:
+    """E_{p_f} |p_r - p_hat| at every temperature of ``e`` by quadrature,
+    one temperature at a time: each integrates over quadrature_domain(m, [T])
+    pre-split also at its own kinks, the roots of p_r - p_hat_T (those of
+    ln p_r - ln p_hat_T) from dist.sign_change_roots, so a temperature's
+    value is the same whatever else is in the grid.  p_hat is formed as
+    forget_error forms it, from the unclamped prediction."""
+    m, clf = e.mixture, e.classifier
+    values = []
+    for T, partition in zip(e.temperatures, e.partitions):
+
+        def gap(z):
+            log_pr = m.retain.log_density(z)
+            p_hat = np.exp(m.log_density(z, log_pr) / T)
+            p_hat *= clf.predict(z)
+            p_hat /= partition
+            return np.exp(log_pr) - p_hat
+
+        def integrand(z):
+            return np.exp(m.forget.log_density(z)) * np.abs(gap(z))
+
+        lo, hi, pts = quadrature_domain(m, [T])
+        pts += _jumps(clf)
+        pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
+        values.append(float(quadrature(integrand, lo, hi, breakpoints=pts)))
+    return values
 
 
 def closed_form_errors(m: Mixture, clf: PiecewiseClassifier) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from t3.dist import (
     UniformComponent,
     quadrature,
     quadrature_domain,
+    sign_change_roots,
 )
 from t3.estimator import build, oracle_classifier
 from t3.metrics import closed_form_errors
@@ -138,30 +139,33 @@ class TestTemperedRetainBound:
 
 
 def _scalar_crossings(m, lo, hi, seeds):
-    """One root at a time, one scalar density call per bisection step: the
-    reference the batched root finder must match bit for bit."""
+    """One root of ln p at a time, one scalar density call per bisection
+    step: the reference the batched dist.sign_change_roots must match bit
+    for bit on the thm5 integrand's kinks."""
     z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
     lp = m.log_density(z)
     roots = []
     for i in np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0):
-        a, b, fa = float(z[i]), float(z[i + 1]), float(lp[i])
+        a, b, sa = float(z[i]), float(z[i + 1]), np.sign(lp[i])
         for _ in range(80):
             mid = 0.5 * (a + b)
-            fm = float(m.log_density(mid)[0])
-            if fa * fm <= 0.0:
+            sm = np.sign(m.log_density(mid)[0])
+            if sa * sm <= 0.0:
                 b = mid
             else:
-                a, fa = mid, fm
+                a, sa = mid, sm
             if b - a < 1e-14 * max(1.0, abs(mid)):
                 break
         roots.append(0.5 * (a + b))
-    return roots
+    return tuple(roots)
 
 
 SPIKE = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
 
 
 class TestUnitDensityCrossings:
+    """dist.sign_change_roots on ln p, the kinks of thm5's |ln p| integrand."""
+
     @pytest.mark.parametrize(
         "m",
         [
@@ -176,7 +180,7 @@ class TestUnitDensityCrossings:
         seeds = quadrature_domain(m, B.default_tau_grid(3.0))[2]
         for tau in B.default_tau_grid(3.0):
             lo, hi, _ = quadrature_domain(m, [float(tau)])
-            roots = B._unit_density_crossings(m, lo, hi, seeds)
+            roots = sign_change_roots(m.log_density, lo, hi, seeds)
             assert roots == _scalar_crossings(m, lo, hi, seeds)
             if m is GAUSS:
                 assert len(roots) == 2
@@ -186,7 +190,7 @@ class TestUnitDensityCrossings:
         # ln p > 0 only on |z| < 0.0028, narrower than the 4096-point grid
         # step; the spike's core seeds bracket both roots
         lo, hi, seeds = quadrature_domain(SPIKE, B.default_tau_grid(T))
-        roots = B._unit_density_crossings(SPIKE, lo, hi, seeds)
+        roots = sign_change_roots(SPIKE.log_density, lo, hi, seeds)
         assert len(roots) == 2
         assert -0.003 < roots[0] < -0.002 and 0.002 < roots[1] < 0.003
         np.testing.assert_allclose(SPIKE.log_density(np.array(roots)), 0.0, atol=1e-9)
@@ -217,7 +221,7 @@ class TestTauGridBatching:
         worst = -math.inf
         for tau in map(float, B.default_tau_grid(T)):
             lo, hi, seeds = quadrature_domain(m, [1.0, tau])
-            seeds += tuple(B._unit_density_crossings(m, lo, hi, seeds))
+            seeds += sign_change_roots(m.log_density, lo, hi, seeds)
             num = quadrature(lambda z: np.exp(m.log_density(z) / tau) * np.abs(m.log_density(z)),
                              lo, hi, breakpoints=seeds)
             worst = max(worst, num / B.lemma2_partition_lower_bound(m, delta, tau)
@@ -252,7 +256,7 @@ class TestSupOverTau:
         # the bracket maximized over the 25-point tau grid, one batched quadrature
         taus = B.default_tau_grid(T)
         lo, hi, seeds = quadrature_domain(m, taus)
-        seeds += tuple(B._unit_density_crossings(m, lo, hi, seeds))
+        seeds += sign_change_roots(m.log_density, lo, hi, seeds)
 
         def integrand(z):
             lp = m.log_density(z)

@@ -15,6 +15,21 @@ def test_verify_lb_equality_instance(capsys):
     assert "equality instance: OK" in capsys.readouterr().out
 
 
+def test_verify_lb_checks_the_exact_forget_error(capsys, monkeypatch):
+    from t3 import metrics
+
+    argv = ["verify-lb", "--gamma", "0.1", "--delta", "0.01"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "  exact forget err        = 0.010462988551   |rel diff| = " in out
+    # one part in 1e11 off the closed form fails the check
+    exact = metrics.exact_forget_error
+    monkeypatch.setattr(metrics, "exact_forget_error",
+                        lambda est: [v * (1.0 + 1e-11) for v in exact(est)])
+    assert cli.main(argv) == 1
+    assert "equality instance: MISMATCH" in capsys.readouterr().out
+
+
 def test_bounds_writes_every_row_in_order_and_sound(capsys, tmp_path):
     argv = ["bounds", "--classifiers", "1", "--tempered-t", "2", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
@@ -158,4 +173,8 @@ def test_readme_quick_start_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md quick start", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    # the Monte Carlo retain and forget errors, each beside its exact value
+    mc_retain, exact_retain, mc_forget, exact_forget = map(float, lines[3].split())
+    assert abs(mc_retain - exact_retain) < 0.01 and abs(mc_forget - exact_forget) < 0.01

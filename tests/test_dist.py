@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from t3.dist import (
     MAX_EVALUATIONS,
+    ROOT_MAX_BISECTIONS,
     GaussianComponent,
     Mixture,
     QuadratureError,
     UniformComponent,
     quadrature,
     quadrature_domain,
+    sign_change_roots,
 )
 
 STD_NORM_LOGPEAK = -0.9189385332046727  # -ln(2 pi)/2, direct formula
@@ -577,6 +579,60 @@ class TestQuadratureDomain:
             assert (lo, hi) == _reference_window(m, max(grid))
             assert set(breakpoints) == {s for T in grid for s in _reference_breakpoints(m, T)}
             assert list(breakpoints) == sorted(set(breakpoints))
+
+
+    def test_names_an_empty_temperature_grid(self):
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1.0))
+        with pytest.raises(ValueError, match="quadrature_domain needs at least one temperature"):
+            quadrature_domain(m, ())
+
+
+class TestSignChangeRoots:
+    def test_rows_batch_as_one_call_per_row(self):
+        # the roots of a k-row g are the sorted union of its rows' roots, bit
+        # for bit: every bracket bisects on its own row
+        rows = [lambda z: np.cos(3.0 * z), lambda z: z * z - 2.0, lambda z: np.tanh(z - 0.3)]
+        seeds = (-1.0, 0.0, 1.0)
+        batched = sign_change_roots(lambda z: np.stack([r(z) for r in rows]), -4.0, 4.0, seeds)
+        alone = [sign_change_roots(r, -4.0, 4.0, seeds) for r in rows]
+        assert batched == tuple(sorted(x for roots in alone for x in roots))
+        np.testing.assert_allclose(alone[1], [-math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-14)
+        np.testing.assert_allclose(alone[2], [0.3], rtol=0.0, atol=1e-14)
+        assert len(alone[0]) == 8
+
+    @pytest.mark.parametrize("rtol", [1e-14, 1e-9, 1e-3])
+    def test_each_root_stops_at_its_own_tolerance(self, rtol):
+        roots = sign_change_roots(lambda z: np.sin(np.pi * z / 1e3), 1e2, 3.9e3, rtol=rtol)
+        np.testing.assert_allclose(roots, [1e3, 2e3, 3e3], rtol=rtol, atol=0.0)
+
+    def test_bisection_has_a_fixed_cap(self):
+        calls = []
+
+        def g(z):
+            calls.append(z.size)
+            return z - 0.1
+
+        # a tolerance no bracket can meet runs the cap out: the scan plus
+        # ROOT_MAX_BISECTIONS steps
+        (root,) = sign_change_roots(g, -1.0, 1.0, rtol=0.0)
+        assert len(calls) == 1 + ROOT_MAX_BISECTIONS
+        assert root == pytest.approx(0.1, abs=1e-15)
+
+    def test_zero_and_nan_values_never_bracket(self):
+        def g(z):
+            return np.where(np.abs(z) < 1.0, np.nan, np.where(z > 2.0, 0.0, np.sign(z)))
+
+        assert sign_change_roots(g, -3.0, 3.0) == ()
+
+    def test_uniform_components_raise_no_warning(self):
+        # off both supports ln p is -inf; the scan and bisection compare signs
+        # only, so under the suite's error::RuntimeWarning nothing is raised
+        m = Mixture(0.3, UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+        lo, hi, pts = quadrature_domain(m, [2.0])
+        assert sign_change_roots(m.log_density, lo, hi, pts) == ()
+        m = Mixture(0.3, GaussianComponent(0.0, 0.01), UniformComponent(-0.1, 0.1))
+        lo, hi, pts = quadrature_domain(m)
+        assert len(sign_change_roots(m.log_density, lo, hi, pts)) == 2
 
 
 # Any float at all, NaN, infinities and subnormals included.

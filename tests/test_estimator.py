@@ -58,6 +58,19 @@ class TestBuild:
         with pytest.raises(ValueError, match="one partition per temperature, got 1 for 3"):
             replace(est, partitions=est.partitions[:1])
 
+    @pytest.mark.parametrize("T", [0.5, math.nan, math.inf])
+    def test_estimator_names_a_bad_temperature(self, T):
+        est = build(DEFAULT, NEAR_ONE, [1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"temperatures\[1\]: .*got {T}"):
+            replace(est, temperatures=(1.0, T))
+
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
+    def test_estimator_names_a_bad_partition(self, z):
+        # a negative Z once gave a forget error of 0.459, and 0 a "math domain error"
+        est = build(DEFAULT, NEAR_ONE, [1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"partitions\[1\] must be finite and > 0, got {z}"):
+            replace(est, partitions=(est.partitions[0], z))
+
 
 class TestPartitions:
     @pytest.mark.parametrize("T", [1.0, 1.37, 2.0, 3.0])

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from t3.classifier import (
+    LOGIT_CLAMP,
+    PRED_CLAMP,
+    LabeledDataset,
     PiecewiseClassifier,
     QuadClassifier,
     bayes_classifier,
+    train,
     witness_classifier,
 )
 from t3.dist import (
@@ -20,8 +24,15 @@ from t3.dist import (
     quadrature,
     quadrature_domain,
 )
-from t3.estimator import build
-from t3.metrics import ErrorEstimate, closed_form_errors, forget_error, retain_error
+from t3.estimator import T3Estimator, build
+from t3.metrics import (
+    ErrorEstimate,
+    closed_form_errors,
+    exact_forget_error,
+    exact_retain_error,
+    forget_error,
+    retain_error,
+)
 from t3.bounds import thm3_forget_lower_bound
 
 DEFAULT = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1.0))
@@ -219,3 +230,119 @@ class TestProperties:
             exact = quadrature(integrand, lo, hi, tol=1e-10, breakpoints=seeds)
             (f,) = forget_error(est, 50_000, np.random.default_rng(13))
             assert abs(f.value - exact) <= 3 * f.std_err + FP_GUARD
+
+
+def _grid_estimator(m, clf, temperatures):
+    """The estimator over ``temperatures`` with each Z from its own one-row
+    build, as the bound-soundness rows make it."""
+    parts = tuple(build(m, clf, [T]).partitions[0] for T in temperatures)
+    return T3Estimator(m, clf, tuple(temperatures), parts)
+
+
+class TestExactErrors:
+    """exact_retain_error and exact_forget_error at their zero and equality
+    cases, against independent closed forms, and row by row."""
+
+    @pytest.mark.parametrize("v_f", [1e-6, 1e-4, 1e-2, 1.0])
+    def test_bayes_untempered_errors_vanish(self, v_f):
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+        est = build(m, bayes_classifier(m), [1.0])
+        (retain,), (forget,) = exact_retain_error(est), exact_forget_error(est)
+        assert abs(retain) <= 1e-12 and abs(forget) <= 1e-12
+
+    def test_witness_forget_error_is_the_closed_form(self):
+        for gamma in np.linspace(0.05, 0.5, 5):
+            for delta in np.logspace(-4, -1, 5):
+                m = Mixture(float(gamma), UniformComponent(2.0, 3.0), UniformComponent(0.0, 1.0))
+                wit = witness_classifier(float(delta), float(gamma), (2.0, 3.0), (0.0, 1.0))
+                retain_cf, forget_cf = closed_form_errors(m, wit)
+                est = build(m, wit, [1.0])
+                (forget,), (retain,) = exact_forget_error(est), exact_retain_error(est)
+                assert abs(forget - forget_cf) <= 1e-12 * forget_cf
+                assert abs(retain - retain_cf) <= 1e-12
+
+    @pytest.mark.parametrize("metric", [exact_retain_error, exact_forget_error])
+    def test_a_temperature_is_the_same_in_any_grid(self, metric):
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
+        clf = QuadClassifier(weights=np.array([2.0, -0.5, 3.0]))
+        grid = metric(_grid_estimator(m, clf, (1.0, 1.5, 3.0)))
+        assert grid == [metric(_grid_estimator(m, clf, (T,)))[0] for T in (1.0, 1.5, 3.0)]
+
+    def test_forget_error_matches_a_kink_free_quadrature(self):
+        # the same integral on a window cut at the kinks found by brute force
+        m = Mixture(0.2, GaussianComponent(1.0, 0.5), GaussianComponent(-0.3, 0.05))
+        clf = QuadClassifier(weights=np.array([1.0, 2.0, 5.0]))
+        for T in (1.0, 2.0):
+            est = build(m, clf, [T])
+            lo, hi, seeds = quadrature_domain(m, [T])
+            z = np.linspace(lo, hi, 2_000_001)
+            gap = np.exp(m.retain.log_density(z)) - est.density(z)[0]
+            kinks = tuple(z[np.flatnonzero(np.diff(np.sign(gap)))])
+
+            def integrand(x):
+                return np.exp(m.forget.log_density(x)) * np.abs(
+                    np.exp(m.retain.log_density(x)) - est.density(x)[0])
+
+            expected = quadrature(integrand, lo, hi, tol=1e-12, breakpoints=seeds + kinks)
+            np.testing.assert_allclose(exact_forget_error(est), [expected], rtol=1e-9)
+
+    def test_a_saturated_classifier_pays_the_clamp(self):
+        # f = sigmoid(-40) ~ 4.2e-18 < PRED_CLAMP everywhere: Z = f, p_hat = p,
+        # and the floored ln f makes the retain error KL(p_r || p) + ln(f / c)
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-2))
+        clf = QuadClassifier(weights=np.array([-40.0, 0.0, 0.0]))
+        est = build(m, clf, [1.0])
+        lo, hi, seeds = quadrature_domain(m)
+
+        def kl_terms(z):
+            log_pr = m.retain.log_density(z)
+            return np.exp(log_pr) * (log_pr - m.log_density(z))
+
+        kl = quadrature(kl_terms, lo, hi, tol=1e-12, breakpoints=seeds)
+        f = 1.0 / (1.0 + math.exp(40.0))
+        np.testing.assert_allclose(est.partitions, [f], rtol=1e-9)
+        (retain,) = exact_retain_error(est)
+        np.testing.assert_allclose(retain, kl + math.log(f / PRED_CLAMP), rtol=1e-9)
+
+    def test_the_clamp_kinks_match_monte_carlo(self):
+        # a logit that crosses -LOGIT_CLAMP in the retain bulk: ln f is
+        # floored below z = 0.5, and the Monte Carlo estimate, which floors
+        # each term, agrees within 4 SE
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-2))
+        clf = QuadClassifier(weights=np.array([-LOGIT_CLAMP - 10.0, 20.0, 0.0]))
+        est = _grid_estimator(m, clf, (1.0, 2.0))
+        mc = retain_error(est, 10**5, np.random.default_rng(4))
+        for exact, r in zip(exact_retain_error(est), mc):
+            assert abs(exact - r.value) <= 4 * r.std_err
+
+
+class TestMonteCarloAgainstExact:
+    """The Monte Carlo metrics against the exact errors on random Gaussian
+    instances with trained classifiers.  Fixed before the first run: 40
+    instances, T in (1, 1.5, 2), 10^5 draws per metric, k = 4 SE, and no
+    failing instance; one trial's values share draws, so instances are
+    counted, not values."""
+
+    K = 4.0
+    INSTANCES = 40
+    TEMPERATURES = (1.0, 1.5, 2.0)
+
+    def test_every_instance_within_k_standard_errors(self):
+        failing = []
+        for i in range(self.INSTANCES):
+            rng = np.random.default_rng(7_000 + i)
+            m = Mixture(
+                float(rng.uniform(0.05, 0.5)),
+                GaussianComponent(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 2.0))),
+                GaussianComponent(float(rng.uniform(-0.5, 0.5)), float(10.0 ** rng.uniform(-4, 0))),
+            )
+            n, lam = int(rng.integers(50, 400)), float(10.0 ** rng.uniform(-6, -1))
+            clf = train(LabeledDataset.from_mixture(m, n, rng), lam)
+            est = _grid_estimator(m, clf, self.TEMPERATURES)
+            z = [(mc.value - exact) / mc.std_err
+                 for exact_fn, mc_fn in ((exact_retain_error, retain_error),
+                                         (exact_forget_error, forget_error))
+                 for exact, mc in zip(exact_fn(est), mc_fn(est, 10**5, rng))]
+            if max(map(abs, z)) > self.K:
+                failing.append((i, [round(v, 2) for v in z]))
+        assert failing == []
