@@ -22,7 +22,9 @@ temperatures each integral passes:
   the true integral over the real line diverges; the evaluator then returns
   the (finite) length of the [T] window;
 - thm5's two numerators: (1, T), pre-split also at the |ln p| kinks, the
-  roots of ln p from ``dist.sign_change_roots``.
+  roots of ln p from ``dist.sign_change_roots``: sign brackets of ln p,
+  each refined by interpolation to relative width 1e-14 in about 5 steps
+  (at most dist.ROOT_MAX_STEPS).
 
 The measurements the bounds are checked against (``harness``) are exact
 too: delta, lemma 1's L1 and both errors come from quadrature, so every

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from t3 import bounds as B
@@ -138,26 +138,27 @@ class TestTemperedRetainBound:
         np.testing.assert_allclose(B.thm5_retain_bound(m, 0.01, T), expected, rtol=1e-14)
 
 
-def _scalar_crossings(m, lo, hi, seeds):
-    """One root of ln p at a time, one scalar density call per bisection
-    step: the reference the batched dist.sign_change_roots must match bit
-    for bit on the thm5 integrand's kinks."""
+def _scalar_crossings(g, lo, hi, seeds=(), rtol=1e-14):
+    """The sign changes of a one-row g one at a time, one scalar call per
+    bisection step from the same scan and under the same stopping rule: the
+    reference the batched, interpolating dist.sign_change_roots must match,
+    root for root and each to its tolerance."""
     z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
-    lp = m.log_density(z)
+    s = np.sign(g(z))
     roots = []
-    for i in np.flatnonzero(np.sign(lp[:-1]) * np.sign(lp[1:]) < 0):
-        a, b, sa = float(z[i]), float(z[i + 1]), np.sign(lp[i])
+    for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+        a, b, sa = float(z[i]), float(z[i + 1]), s[i]
         for _ in range(80):
             mid = 0.5 * (a + b)
-            sm = np.sign(m.log_density(mid)[0])
+            sm = np.sign(g(np.array([mid]))[0])
             if sa * sm <= 0.0:
                 b = mid
             else:
                 a, sa = mid, sm
-            if b - a < 1e-14 * max(1.0, abs(mid)):
+            if b - a < rtol * max(1.0, abs(mid)):
                 break
         roots.append(0.5 * (a + b))
-    return tuple(roots)
+    return roots
 
 
 SPIKE = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
@@ -181,7 +182,10 @@ class TestUnitDensityCrossings:
         for tau in B.default_tau_grid(3.0):
             lo, hi, _ = quadrature_domain(m, [float(tau)])
             roots = sign_change_roots(m.log_density, lo, hi, seeds)
-            assert roots == _scalar_crossings(m, lo, hi, seeds)
+            reference = _scalar_crossings(m.log_density, lo, hi, seeds)
+            assert len(roots) == len(reference)
+            for r, ref in zip(roots, reference):
+                assert abs(r - ref) <= 1e-14 * max(1.0, abs(ref))
             if m is GAUSS:
                 assert len(roots) == 2
 
@@ -195,6 +199,43 @@ class TestUnitDensityCrossings:
         assert -0.003 < roots[0] < -0.002 and 0.002 < roots[1] < 0.003
         np.testing.assert_allclose(SPIKE.log_density(np.array(roots)), 0.0, atol=1e-9)
 
+
+
+def _quadratic_row(c, d):
+    return lambda z: (z - c) ** 2 - d
+
+
+def _log_density_row(gamma, mu_r, v_r, mu_f, v_f, level):
+    m = Mixture(gamma, GaussianComponent(mu_r, v_r), GaussianComponent(mu_f, v_f))
+    return lambda z: m.log_density(z) - level
+
+
+ROOT_ROWS = st.one_of(
+    st.builds(_quadratic_row, st.floats(-3.0, 3.0), st.floats(0.05, 4.0)),
+    st.builds(_log_density_row, st.floats(0.05, 0.95), st.floats(-2.0, 2.0), st.floats(0.1, 2.0),
+              st.floats(-2.0, 2.0), st.floats(0.1, 2.0), st.floats(-6.0, 0.0)),
+)
+
+
+class TestSignChangeRootsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(ROOT_ROWS, min_size=1, max_size=3),
+           rtol=st.sampled_from([1e-14, 1e-9, 1e-6]))
+    def test_rows_match_scalar_bisection(self, rows, rtol):
+        lo, hi = -5.0, 5.0
+        reference = []
+        for row in rows:
+            found = np.array(_scalar_crossings(row, lo, hi, rtol=rtol))
+            # a crossing so shallow that rounding noise in g moves it by
+            # more than rtol has no unique root for the two methods to share
+            assume(np.all(np.abs(row(found + 1e-6) - row(found - 1e-6)) > 1e-6))
+            reference += found.tolist()
+        reference.sort()
+        roots = sign_change_roots(lambda z: np.stack([row(z) for row in rows]), lo, hi,
+                                  rtol=rtol)
+        assert len(roots) == len(reference)
+        for r, ref in zip(roots, reference):
+            assert abs(r - ref) <= rtol * max(1.0, abs(ref))
 
 class TestTauGridBatching:
     """The batched tau grids against a per-tau loop of scalar quadratures."""

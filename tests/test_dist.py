@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from t3.dist import (
     MAX_EVALUATIONS,
-    ROOT_MAX_BISECTIONS,
+    ROOT_MAX_STEPS,
     GaussianComponent,
     Mixture,
     QuadratureError,
@@ -610,12 +610,13 @@ class TestSignChangeRoots:
 
         def g(z):
             calls.append(z.size)
-            return z - 0.1
+            return np.where(z < 0.1, -1.0, 1.0)
 
         # a tolerance no bracket can meet runs the cap out: the scan plus
-        # ROOT_MAX_BISECTIONS steps
+        # ROOT_MAX_STEPS steps.  g is a step, so no interpolant ever passes
+        # the safety test and no step can land on an exact zero
         (root,) = sign_change_roots(g, -1.0, 1.0, rtol=0.0)
-        assert len(calls) == 1 + ROOT_MAX_BISECTIONS
+        assert len(calls) == 1 + ROOT_MAX_STEPS
         assert root == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_and_nan_values_never_bracket(self):
@@ -633,6 +634,29 @@ class TestSignChangeRoots:
         m = Mixture(0.3, GaussianComponent(0.0, 0.01), UniformComponent(-0.1, 0.1))
         lo, hi, pts = quadrature_domain(m)
         assert len(sign_change_roots(m.log_density, lo, hi, pts)) == 2
+
+    @pytest.mark.parametrize(
+        "lo, hi, rtol, match",
+        [
+            (math.nan, 1.0, 1e-9, "lo must be finite, got nan"),
+            (-math.inf, 1.0, 1e-9, "lo must be finite, got -inf"),
+            (0.0, math.inf, 1e-9, "hi must be finite, got inf"),
+            (1.0, 1.0, 1e-9, re.escape("need lo < hi, got [1.0, 1.0]")),
+            (2.0, 1.0, 1e-9, re.escape("need lo < hi, got [2.0, 1.0]")),
+            (0.0, 1.0, math.nan, "rtol must be >= 0, got nan"),
+            (0.0, 1.0, -1e-9, "rtol must be >= 0, got -1e-09"),
+        ],
+    )
+    def test_names_a_bad_window_or_tolerance_before_calling_g(self, lo, hi, rtol, match):
+        def g(z):
+            raise AssertionError("g called")
+
+        with pytest.raises(ValueError, match=match):
+            sign_change_roots(g, lo, hi, rtol=rtol)
+
+    def test_zero_tolerance_is_legal_and_an_exact_zero_is_the_root(self):
+        (root,) = sign_change_roots(lambda z: z - 0.25, -1.0, 1.0, rtol=0.0)
+        assert root == 0.25
 
 
 # Any float at all, NaN, infinities and subnormals included.

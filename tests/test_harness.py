@@ -492,6 +492,57 @@ class TestSoundnessSweep:
         assert len(upper) == 2
         assert all(abs(r.measured_value) <= 1e-12 for r in upper)
 
+    def test_every_root_refines_in_at_most_12_steps(self, monkeypatch):
+        # the bound fixed before the first run; bisection took 24 steps at
+        # exact_forget_error's rtol 1e-9 and 40 at thm5's 1e-14.  All of a
+        # call's brackets refine together, so its g calls past the scan are
+        # the steps of its slowest bracket
+        import t3.bounds
+        import t3.dist
+        import t3.metrics
+
+        steps = []
+
+        def counted(g, *args, **kwargs):
+            calls = []
+
+            def counted_g(z):
+                calls.append(z.size)
+                return g(z)
+
+            roots = t3.dist.sign_change_roots(counted_g, *args, **kwargs)
+            if roots:
+                steps.append(len(calls) - 1)
+            return roots
+
+        monkeypatch.setattr(t3.metrics, "sign_change_roots", counted)
+        monkeypatch.setattr(t3.bounds, "sign_change_roots", counted)
+        for seed in range(10):
+            run_soundness_sweep(ExperimentConfig(base_seed=seed), n_classifiers=5, tempered_t=2.0)
+        assert len(steps) > 100
+        assert max(steps) <= 12
+
+    def test_root_scan_leaves_numpy_ma_unimported(self):
+        # np.union1d imports numpy.ma (~15 ms) on its first call; a fresh
+        # process must not pay that inside its first bounds row
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from t3.classifier import LabeledDataset, train\n"
+            "from t3.dist import GaussianComponent, Mixture\n"
+            "from t3.harness import soundness_reports_for_classifier\n"
+            "m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))\n"
+            "clf = train(LabeledDataset.from_mixture(m, 100, np.random.default_rng(3)), 1e-3)\n"
+            "assert len(soundness_reports_for_classifier(m, clf, tempered_t=2.0)) == 7\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 class _InlinePool:
     """A stand-in for ProcessPoolExecutor that records its size and maps in
