@@ -14,9 +14,8 @@ All integrals run through the adaptive Gauss-Kronrod oracle over
 integrate as one vector-valued quadrature with a row per tau.  The
 temperatures each integral passes:
 
-- thm4's tau-tempered oracle partitions: the tau grid (inside ``build``);
-- thm4's three tau-moments: [T], whose window and breakpoints every tau in
-  [1, T] shares;
+- thm4's tau-tempered oracle partitions and three tau-moments: [T], whose
+  window and breakpoints every tau in [1, T] shares, in one quadrature;
 - thm4's auxiliary integral of p^c: [max(1/c, 1)], the temperature at
   which p^c is a tempered density.  For T >= 2, k = T drives c to zero and
   the true integral over the real line diverges; the evaluator then returns
@@ -40,7 +39,7 @@ import numpy as np
 
 from ._kernels import check_temperature
 from .dist import Mixture, quadrature, quadrature_domain, sign_change_roots
-from .estimator import build, oracle_classifier
+from .estimator import oracle_classifier
 
 DEFAULT_TAU_POINTS = 25
 
@@ -136,36 +135,27 @@ def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
     """(1 - 1/T) * ||p_f||_{2, p_r^(tau)} * Std_{p_r^(tau)}[ln p] at every tau
     of ``taus`` (all in [1, T]).
 
-    The tau-tempered oracle is one estimator over the tau grid, and each of
-    the three tau-moments is one quadrature with a row per tau over the
-    domain of [T], which every tau shares."""
+    One quadrature over the domain of [T], which every tau shares, gives
+    the tau-tempered oracle's partition and its three unnormalised
+    moments: with w = p^(1/tau) f* (one row per tau, f* the oracle
+    classifier), the blocks of rows [w, w p_f^2, w ln p, w ln^2 p].  Each
+    moment is its block divided by the first.  ln p is read as 0 where w
+    vanishes (off uniform supports ln p = -inf, and 0 * inf would be NaN)."""
     taus = np.asarray(taus, dtype=np.float64)
     if T == 1.0:
         return np.zeros(taus.size)
-    oracle = build(m, oracle_classifier(m), taus)
+    oracle = oracle_classifier(m)
     lo, hi, seeds = quadrature_domain(m, [T])
 
-    def oracle_rows(z):
-        # the tau-tempered oracle density (one row per tau) and ln p, with
-        # ln p reported as 0 where the density vanishes (off uniform
-        # supports ln p = -inf, and 0 * inf would be NaN)
+    def integrand(z):
         lp = m.log_density(z)
-        d = oracle.density(z, lp)
-        return d, np.where(d > 0.0, lp, 0.0)
+        w = np.exp(lp / taus[:, None]) * oracle.predict(z)
+        lp = np.where(w > 0.0, lp, 0.0)
+        w_lp = w * lp
+        return np.concatenate([w, w * np.exp(2.0 * m.forget.log_density(z)), w_lp, w_lp * lp])
 
-    def wpf2(z):
-        return oracle_rows(z)[0] * np.exp(2.0 * m.forget.log_density(z))
-
-    def wlogp(z):
-        d, lp = oracle_rows(z)
-        return d * lp
-
-    def wlogp2(z):
-        d, lp = oracle_rows(z)
-        return d * lp * lp
-
-    # three calls of len(taus) rows keep each well under MAX_EVALUATIONS
-    pf2, m1, m2 = (quadrature(w, lo, hi, breakpoints=seeds) for w in (wpf2, wlogp, wlogp2))
+    part, pf2, m1, m2 = quadrature(integrand, lo, hi, breakpoints=seeds).reshape(4, taus.size)
+    pf2, m1, m2 = pf2 / part, m1 / part, m2 / part
     var = np.maximum(m2 - m1 * m1, 0.0)
     return (1.0 - 1.0 / T) * np.sqrt(np.maximum(pf2, 0.0)) * np.sqrt(var)
 

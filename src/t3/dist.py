@@ -2,6 +2,7 @@
 tempering, exact sampling, an adaptive Gauss-Kronrod quadrature oracle, the
 one domain (window and breakpoints) over which it integrates a mixture, and
 the one root finder that adds an integrand's kinks to those breakpoints: it
+scans every piece between breakpoints on its own evenly spaced points,
 brackets sign changes by comparing signs only, then refines every bracket
 at once by Chandrupatla's interpolation, with a fixed step cap.
 
@@ -26,7 +27,7 @@ WINDOW_STDDEVS = 12.0  # +-12 max-stddev window truncates Gaussian mass ~1e-30
 MAX_DEPTH = 20  # subdivision levels before quadrature gives up
 MAX_EVALUATIONS = 1_000_000  # integrand values (points x rows) per quadrature
 LOG_SUM_EXP_FLOOR = -40.0  # floor of min - max in Mixture.log_density; e^-40 = 4.2e-18
-ROOT_SCAN_POINTS = 4096  # evenly spaced points of sign_change_roots' scan
+ROOT_SCAN_POINTS = 128  # evenly spaced scan points per breakpoint piece in sign_change_roots
 ROOT_MAX_STEPS = 80  # refinement steps per bracket before sign_change_roots stops
 
 # The Gauss-Kronrod 7/15 pair on [-1, 1], from QUADPACK's dqk15 (Piessens et
@@ -263,13 +264,18 @@ def quadrature_domain(
     return lo, hi, tuple(sorted(pts))
 
 
-def _check_window(lo: float, hi: float) -> None:
-    """Raise ValueError unless lo and hi are finite with lo < hi."""
+def _piece_edges(lo: float, hi: float, breakpoints: Sequence[float]) -> np.ndarray:
+    """The window's ends and the distinct ``breakpoints`` strictly inside
+    it, sorted: the edges of the pieces that ``quadrature`` integrates and
+    ``sign_change_roots`` scans.  Raises ValueError unless lo and hi are
+    finite with lo < hi."""
     for name, value in (("lo", lo), ("hi", hi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    inside = sorted({float(b) for b in breakpoints if lo < b < hi})
+    return np.array([lo, *inside, hi], dtype=np.float64)
 
 
 def sign_change_roots(
@@ -283,34 +289,36 @@ def sign_change_roots(
     of |g|, to pass to ``quadrature`` with ``breakpoints``.
 
     ``g`` is vectorised as a quadrature integrand is: it maps n points to
-    (n,) values or to a (k, n) block of k rows.  A scan of ROOT_SCAN_POINTS
-    evenly spaced points plus the ``breakpoints`` inside the window
-    brackets every row's sign flips; the breakpoints matter, since a sharp
-    spike can be far narrower than the grid step, and a quadrature domain's
-    breakpoints land inside it.  All brackets of all rows are then refined
-    at once, each on its own row, by Chandrupatla's method (Adv. Eng.
-    Software 28(3), 1997): a step goes to the inverse-quadratic interpolant
-    of the bracket's ends and the end last dropped where that passes
-    Chandrupatla's safety test and is finite, and to the midpoint otherwise,
-    kept at least half the tolerance inside the bracket.  Which end a point
-    replaces is decided by signs alone, so the bracket always holds a sign
-    change, and a zero or NaN value never brackets: a NaN replaces the
-    newest end, and an exact zero is itself the root.  Each bracket stops
-    once its width is below rtol * max(1, |midpoint|), returning the
+    (n,) values or to a (k, n) block of k rows.  The ``breakpoints`` inside
+    the window cut it into pieces, and each piece is scanned on its own
+    ROOT_SCAN_POINTS evenly spaced points, its ends included, so the narrow
+    pieces around a sharp spike are scanned as finely as the wide tails
+    (QUADPACK's remedy, Piessens et al. 1983: put the points where the kinks
+    are).  A row's sign flip between neighbouring scan points is a bracket,
+    and a scan point where the row is exactly 0 between nonzero values of
+    opposite sign is itself a root; a run of zeros, or a NaN, never
+    brackets.  All brackets of all rows are then refined at once, each on
+    its own row, by Chandrupatla's method (Adv. Eng. Software 28(3), 1997):
+    a step goes to the inverse-quadratic interpolant of the bracket's ends
+    and the end last dropped where that passes Chandrupatla's safety test
+    and is finite, and to the midpoint otherwise, kept at least half the
+    tolerance inside the bracket.  Which end a point replaces is decided by
+    signs alone, so the bracket always holds a sign change: a NaN replaces
+    the newest end, and an exact zero is itself the root.  Each bracket
+    stops once its width is below rtol * max(1, |midpoint|), returning the
     midpoint, or after ROOT_MAX_STEPS steps.  Smooth kinks take about 5
     steps at rtol 1e-9 or 1e-14.
 
     Raises ValueError unless ``lo`` and ``hi`` are finite with lo < hi and
     ``rtol`` is >= 0, before g is called."""
-    _check_window(lo, hi)
+    edges = _piece_edges(lo, hi, breakpoints)
     if not rtol >= 0.0:
         raise ValueError(f"rtol must be >= 0, got {rtol}")
-    # np.union1d would give the same points, but it imports numpy.ma
-    z = np.sort(np.concatenate([np.linspace(lo, hi, ROOT_SCAN_POINTS),
-                                [b for b in breakpoints if lo < b < hi]]))
-    z = z[np.concatenate(([True], z[1:] != z[:-1]))]
+    steps = np.arange(ROOT_SCAN_POINTS) / ROOT_SCAN_POINTS
+    z = np.append((edges[:-1, None] + np.diff(edges)[:, None] * steps).ravel(), hi)
     v = np.atleast_2d(g(z))
     s = np.sign(v)
+    _, zero_cols = np.nonzero((s[:, 1:-1] == 0.0) & (s[:, :-2] * s[:, 2:] < 0.0))
     rows, cols = np.nonzero(s[:, :-1] * s[:, 1:] < 0.0)
     # one column per open bracket: x[0] is its newest end, x[1] its other
     # end, x[2] the end it last dropped; side is the sign of g at x[0]
@@ -340,7 +348,7 @@ def sign_change_roots(
         x, f, side, rows, slot = x[:, open_], f[:, open_], side[open_], rows[open_], slot[open_]
         t = _chandrupatla_t(x, f, 0.5 * tol[open_] / width[open_])
     roots[slot] = 0.5 * (x[0] + x[1])
-    return tuple(np.sort(roots).tolist())
+    return tuple(np.sort(np.concatenate([roots, z[zero_cols + 1]])).tolist())
 
 
 def _chandrupatla_t(x: np.ndarray, f: np.ndarray, margin: np.ndarray) -> np.ndarray:
@@ -391,11 +399,9 @@ def quadrature(
     (points times rows) past MAX_EVALUATIONS (the depth limit bounds each
     panel, this cap the number of open ones).
     """
-    _check_window(lo, hi)
+    edges = _piece_edges(lo, hi, breakpoints)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    edges = [lo] + sorted({float(b) for b in breakpoints if lo < b < hi}) + [hi]
-    edges = np.asarray(edges, dtype=np.float64)
     n_seg = len(edges) - 1
     centers = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * (edges[1:] - edges[:-1])

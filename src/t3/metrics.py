@@ -139,9 +139,13 @@ def exact_forget_error(e: T3Estimator) -> list[float]:
     one temperature at a time: each integrates over quadrature_domain(m, [T])
     pre-split also at its own kinks, the roots of p_r - p_hat_T (those of
     ln p_r - ln p_hat_T) from dist.sign_change_roots, so a temperature's
-    value is the same whatever else is in the grid.  p_hat is formed as
-    forget_error forms it, from the unclamped prediction."""
+    value is the same whatever else is in the grid.  The scan for those
+    roots also cuts at a quadratic logit's roots, where f moves fastest: a
+    steep fit switches on inside the forget spike, and the two kinks it
+    makes there can lie closer together than any fixed scan step.  p_hat is
+    formed as forget_error forms it, from the unclamped prediction."""
     m, clf = e.mixture, e.classifier
+    steep = () if isinstance(clf, PiecewiseClassifier) else _quadratic_roots(*clf.weights[::-1])
     values = []
     for T, partition in zip(e.temperatures, e.partitions):
 
@@ -157,7 +161,7 @@ def exact_forget_error(e: T3Estimator) -> list[float]:
 
         lo, hi, pts = quadrature_domain(m, [T])
         pts += _jumps(clf)
-        pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
+        pts += sign_change_roots(gap, lo, hi, pts + steep, rtol=FORGET_ROOT_RTOL)
         values.append(float(quadrature(integrand, lo, hi, breakpoints=pts)))
     return values
 

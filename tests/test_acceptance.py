@@ -264,9 +264,9 @@ class TestC6SampleSizeSweep:
         # cut the search short: a paired probe over lambda in {0, ..., 1e-6}
         # puts the minimum population risk at 1e-8 (0.07667, against
         # 0.07865 at 1e-9 and 0.07883 at 1e-7).  The miss is systematic,
-        # not seed or MC noise: an exact-error quadrature oracle (ROADMAP
-        # item 3, not yet in the suite) puts the exact F(1.1) - F(1.0) at -0.00694 +- 0.00192 on the suite's 200
-        # training sets and at -0.00637 +- 0.00060 on 2,000 fresh ones
+        # not seed or MC noise: the exact-error quadrature oracle
+        # (metrics.exact_forget_error) puts the exact F(1.1) - F(1.0) at
+        # -0.00694 +- 0.00192 on the suite's 200 training sets and at -0.00637 +- 0.00060 on 2,000 fresh ones
         # (trial indices 200-2,199), 10.6 SE below zero.
         am = _argmin_forget_t(exp2_table, 400)
         ts, curves = _trial_curves(exp2_table, 400, "forget")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from t3 import bounds as B
 from t3.classifier import witness_classifier
 from t3.dist import (
+    ROOT_SCAN_POINTS,
     GaussianComponent,
     Mixture,
     UniformComponent,
@@ -115,6 +116,39 @@ class TestTemperedForgetBound:
             assert bias == 0.0
 
 
+class TestOnePassTemperingBias:
+    """_tempering_bias takes the tau-tempered oracle's partitions and its
+    three moments from one quadrature; it must agree with the four-pass
+    form: the partitions from one ``build`` over the tau grid, then one
+    quadrature over the domain of [T] per normalised moment."""
+
+    @staticmethod
+    def _four_pass(m, T, taus):
+        oracle = build(m, oracle_classifier(m), taus)
+        lo, hi, seeds = quadrature_domain(m, [T])
+
+        def moment(weight):
+            def integrand(z):
+                lp = m.log_density(z)
+                d = oracle.density(z, lp)
+                return d * weight(z, np.where(d > 0.0, lp, 0.0))
+
+            return quadrature(integrand, lo, hi, breakpoints=seeds)
+
+        pf2 = moment(lambda z, lp: np.exp(2.0 * m.forget.log_density(z)))
+        m1 = moment(lambda z, lp: lp)
+        m2 = moment(lambda z, lp: lp * lp)
+        return (1.0 - 1.0 / T) * np.sqrt(pf2) * np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
+
+    @pytest.mark.parametrize("v_f", [1e-6, 1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("T", [1.1, 2.0, 3.0])
+    def test_every_tau_matches_the_four_pass_form(self, v_f, T):
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+        taus = B.default_tau_grid(T)
+        np.testing.assert_allclose(B._tempering_bias(m, T, taus), self._four_pass(m, T, taus),
+                                   rtol=1e-12, atol=0.0)
+
+
 class TestTemperedRetainBound:
     def test_t1_is_untempered_bound(self):
         np.testing.assert_allclose(B.thm5_retain_bound(FLAT, 0.01, 1.0), 0.01 / 0.9, rtol=1e-15)
@@ -139,13 +173,18 @@ class TestTemperedRetainBound:
 
 
 def _scalar_crossings(g, lo, hi, seeds=(), rtol=1e-14):
-    """The sign changes of a one-row g one at a time, one scalar call per
-    bisection step from the same scan and under the same stopping rule: the
-    reference the batched, interpolating dist.sign_change_roots must match,
-    root for root and each to its tolerance."""
-    z = np.union1d(np.linspace(lo, hi, 4096), [s for s in seeds if lo < s < hi])
+    """The sign changes of a one-row g one at a time, from the same scan
+    (each piece between seeds on its own ROOT_SCAN_POINTS evenly spaced
+    points, a scan point where g is exactly 0 between values of opposite
+    sign counting as a root) and under the same stopping rule, one scalar
+    call per bisection step: the reference the batched, interpolating
+    dist.sign_change_roots must match, root for root and each to its
+    tolerance."""
+    edges = [lo, *sorted({s for s in seeds if lo < s < hi}), hi]
+    steps = np.arange(ROOT_SCAN_POINTS) / ROOT_SCAN_POINTS
+    z = np.array([a + (b - a) * t for a, b in zip(edges, edges[1:]) for t in steps] + [hi])
     s = np.sign(g(z))
-    roots = []
+    roots = [float(z[i + 1]) for i in np.flatnonzero((s[1:-1] == 0) & (s[:-2] * s[2:] < 0))]
     for i in np.flatnonzero(s[:-1] * s[1:] < 0):
         a, b, sa = float(z[i]), float(z[i + 1]), s[i]
         for _ in range(80):
@@ -158,7 +197,7 @@ def _scalar_crossings(g, lo, hi, seeds=(), rtol=1e-14):
             if b - a < rtol * max(1.0, abs(mid)):
                 break
         roots.append(0.5 * (a + b))
-    return roots
+    return sorted(roots)
 
 
 SPIKE = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-6))
@@ -191,8 +230,8 @@ class TestUnitDensityCrossings:
 
     @pytest.mark.parametrize("T", [1.1, 1.5, 2.0, 3.0])
     def test_spike_roots_found_through_the_seeds(self, T):
-        # ln p > 0 only on |z| < 0.0028, narrower than the 4096-point grid
-        # step; the spike's core seeds bracket both roots
+        # ln p > 0 only on |z| < 0.0028; the pieces between the spike's
+        # core seeds are scanned on as many points as the wide tails
         lo, hi, seeds = quadrature_domain(SPIKE, B.default_tau_grid(T))
         roots = sign_change_roots(SPIKE.log_density, lo, hi, seeds)
         assert len(roots) == 2

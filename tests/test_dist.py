@@ -619,6 +619,15 @@ class TestSignChangeRoots:
         assert len(calls) == 1 + ROOT_MAX_STEPS
         assert root == pytest.approx(0.1, abs=1e-15)
 
+    def test_an_exact_zero_between_opposite_signs_is_a_root(self):
+        # +-1 are points of a 4096-point scan of [-5, 5], and 0.5 a
+        # breakpoint; a zero between values of one sign is no sign change
+        assert sign_change_roots(lambda z: z * z - 1.0, -5.0, 5.0, (-1.0, 1.0)) == (-1.0, 1.0)
+        np.testing.assert_allclose(sign_change_roots(lambda z: z * z - 1.0, -5.0, 5.0),
+                                   [-1.0, 1.0], rtol=1e-14)
+        assert sign_change_roots(lambda z: z - 0.5, -1.0, 1.0, breakpoints=(0.5,)) == (0.5,)
+        assert sign_change_roots(lambda z: (z - 0.5) ** 2, -1.0, 1.0, (0.5,)) == ()
+
     def test_zero_and_nan_values_never_bracket(self):
         def g(z):
             return np.where(np.abs(z) < 1.0, np.nan, np.where(z > 2.0, 0.0, np.sign(z)))

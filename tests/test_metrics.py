@@ -25,6 +25,7 @@ from t3.dist import (
     quadrature_domain,
 )
 from t3.estimator import T3Estimator, build
+from t3.harness import ExperimentConfig, derive_seed
 from t3.metrics import (
     ErrorEstimate,
     closed_form_errors,
@@ -314,6 +315,58 @@ class TestExactErrors:
         mc = retain_error(est, 10**5, np.random.default_rng(4))
         for exact, r in zip(exact_retain_error(est), mc):
             assert abs(exact - r.value) <= 4 * r.std_err
+
+
+class TestSweepGridFits:
+    """exact_forget_error on classifiers trained on the sweep grids.  A steep
+    fit switches on inside the forget spike, where p_r - p_hat can change
+    sign twice within a few thousandths; each such fit is seeded as
+    derive_seed(base, int(v_f * 1e6), n, lambda index, trial)."""
+
+    CONFIG = ExperimentConfig()
+
+    def _fit(self, v_f, base, n, li, trial):
+        m = self.CONFIG.mixture(v_f)
+        rng = np.random.default_rng(derive_seed(base, int(v_f * 1e6), n, li, trial))
+        return m, train(LabeledDataset.from_mixture(m, n, rng), self.CONFIG.lambda_grid[li])
+
+    def test_every_fit_integrates_over_the_whole_t_grid(self):
+        # fixed before the first run: v_f = 1e-3 at n in {25, 200}, every
+        # lambda, seed bases 99 and 7, trials 0 and 1, so 104 fits, among
+        # them the three on which an even 4096-point scan of the window
+        # misses a root pair and the quadrature fails at its depth limit:
+        # (n, lambda) = (25, 1e-8) at both bases and (200, 3e-4) at base 7,
+        # all trial 0
+        fits = 0
+        for base in (99, 7):
+            for n in (25, 200):
+                for li in range(len(self.CONFIG.lambda_grid)):
+                    for trial in (0, 1):
+                        m, clf = self._fit(1e-3, base, n, li, trial)
+                        assert np.isfinite(exact_forget_error(build(m, clf, self.CONFIG.t_grid))).all()
+                        fits += 1
+        assert fits == 104
+
+    def test_a_root_pair_inside_the_spike_is_kept(self):
+        # base 7, n = 25, lambda = 3e-2, trial 1, T = 3: p_r - p_hat changes
+        # sign at -0.00334 and -0.00192, between two points of an even
+        # 4096-point scan of the window; without those kinks the quadrature
+        # converges 4.2e-7 off.  The reference cuts the window at the sign
+        # changes of a grid fine enough to see them
+        m, clf = self._fit(1e-3, 7, 25, 9, 1)
+        est = build(m, clf, [3.0])
+        lo, hi, seeds = quadrature_domain(m, [3.0])
+        z = np.linspace(lo, hi, 400_001)
+        gap = np.exp(m.retain.log_density(z)) - est.density(z)[0]
+        kinks = tuple(z[np.flatnonzero(np.diff(np.sign(gap)))])
+        assert len(kinks) == 4
+
+        def integrand(x):
+            return np.exp(m.forget.log_density(x)) * np.abs(
+                np.exp(m.retain.log_density(x)) - est.density(x)[0])
+
+        expected = quadrature(integrand, lo, hi, tol=1e-12, breakpoints=seeds + kinks)
+        np.testing.assert_allclose(exact_forget_error(est), [expected], rtol=0.0, atol=1e-10)
 
 
 class TestMonteCarloAgainstExact:
