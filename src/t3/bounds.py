@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import check_temperature
+from .classifier import oracle_classifier
 from .dist import Mixture, quadrature, quadrature_domain, sign_change_roots
-from .estimator import oracle_classifier
 
 DEFAULT_TAU_POINTS = 25
 
@@ -76,11 +76,15 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in (0, 1 - 1e-12), got {gamma}")
 
 
+def _check_delta(delta: float, zero_ok: bool = True) -> None:
+    if not (0.0 <= delta < math.inf and (zero_ok or delta > 0.0)):
+        raise ValueError(f"delta must be finite and {'>=' if zero_ok else '>'} 0, got {delta}")
+
+
 def thm1_retain_bound(delta: float, gamma: float) -> float:
     """Retain Error of the untempered estimator: delta / (1 - gamma)."""
     _check_gamma(gamma)
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     return delta / (1.0 - gamma)
 
 
@@ -88,8 +92,7 @@ def thm2_forget_bound(delta: float, gamma: float, pf_inf: float) -> float:
     """Forget Error of the untempered estimator:
     ||p_f||_inf * sqrt(2 delta / (1 - gamma))."""
     _check_gamma(gamma)
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     return pf_inf * math.sqrt(2.0 * delta / (1.0 - gamma))
 
 
@@ -101,16 +104,14 @@ def thm3_forget_lower_bound(delta: float, gamma: float, pf_inf: float) -> float:
     so the closed-form witness measurement attains it with equality.
     """
     _check_gamma(gamma)
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    _check_delta(delta, zero_ok=False)
     edg = math.exp(-delta / gamma)
     return pf_inf * gamma * (1.0 - edg) / (1.0 - gamma * edg)
 
 
 def lemma1_l1_bound(delta: float) -> float:
     """E_p |f_star - f_hat| <= sqrt(delta / 2)."""
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     return math.sqrt(delta / 2.0)
 
 
@@ -120,6 +121,7 @@ def lemma2_partition_lower_bound(m: Mixture, delta: float, T: float) -> float:
         (1-gamma)^((T+1)/T) * exp(((T-1)/T) H(p_r) - (delta - g ln g)/(1-g))
     """
     check_temperature(T)
+    _check_delta(delta)
     g = m.gamma
     h_r = m.retain.entropy()
     return (1.0 - g) ** ((T + 1.0) / T) * math.exp(
@@ -183,6 +185,7 @@ def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
     the lemma 2 partition lower bound at delta = 0.
     """
     check_temperature(T)
+    _check_delta(delta)
     k = max(T, 2.0)
 
     bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T))))

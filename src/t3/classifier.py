@@ -1,7 +1,7 @@
 """The surrogate classification task.
 
 Quadratic-feature logistic regression over the univariate mixture (features
-[1, z, z^2]), the closed-form posterior classifier for Gaussian mixtures,
+[1, z, z^2]), the closed-form posteriors of Gaussian and uniform mixtures,
 the risk-saturating piecewise witness for disjoint uniform supports, the
 exact population cross-entropy and L1 distance of quadratic-logit
 classifiers, and Monte Carlo excess-risk estimation.
@@ -19,6 +19,7 @@ from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid, so
 from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
+LOG_CLAMP = math.log(PRED_CLAMP)  # the floor of every log_predict
 LOGIT_CLAMP = math.log((1.0 - PRED_CLAMP) / PRED_CLAMP)  # the logit of 1 - PRED_CLAMP
 
 # damped-Newton settings of train()
@@ -102,7 +103,14 @@ class QuadClassifier:
         return sigmoid(t, out=t)
 
     def log_predict(self, z) -> np.ndarray:
-        return log_sigmoid(self._logit(z))
+        """ln f floored at LOG_CLAMP, in place."""
+        t = log_sigmoid(self._logit(z))
+        return np.maximum(t, LOG_CLAMP, out=t)
+
+    def kinks(self, level: float) -> tuple[float, ...]:
+        """The real roots of w0 + w1 z + w2 z^2 = level."""
+        w0, w1, w2 = self.weights.tolist()  # Python floats: faster scalar arithmetic
+        return _quadratic_roots(w2, w1, w0 - level)
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,12 @@ class PiecewiseClassifier:
         return out
 
     def log_predict(self, z) -> np.ndarray:
+        """ln f floored at LOG_CLAMP (ln PRED_CLAMP)."""
         return np.log(np.maximum(self.predict(z), PRED_CLAMP))
+
+    def kinks(self, level: float) -> tuple[float, ...]:
+        """The four support edges, where f jumps, at any level."""
+        return (*self.retain_support, *self.forget_support)
 
 
 Classifier = Union[QuadClassifier, PiecewiseClassifier]
@@ -272,6 +285,16 @@ def indicator_classifier(m: Mixture) -> PiecewiseClassifier:
     )
 
 
+def oracle_classifier(m: Mixture) -> Classifier:
+    """The exact posterior for the mixture family in hand: closed-form
+    quadratic sigmoid for Gaussians, support indicator for uniforms."""
+    if m.is_gaussian:
+        return bayes_classifier(m)
+    if isinstance(m.retain, UniformComponent) and isinstance(m.forget, UniformComponent):
+        return indicator_classifier(m)
+    raise TypeError("no closed-form posterior for mixed component families")
+
+
 def witness_classifier(
     delta: float,
     gamma: float,
@@ -338,8 +361,7 @@ def population_cross_entropy(m: Mixture, classifiers) -> np.ndarray:
     where the integrand bends."""
     w = _weights(classifiers)
     lo, hi, pts = quadrature_domain(m)
-    kinks = [r for w0, w1, w2 in w for c in (LOGIT_CLAMP, -LOGIT_CLAMP)
-             for r in _quadratic_roots(w2, w1, w0 - c)]
+    kinks = [r for clf in classifiers for c in (LOGIT_CLAMP, -LOGIT_CLAMP) for r in clf.kinks(c)]
     log_1mg, log_g = math.log1p(-m.gamma), math.log(m.gamma)
 
     def integrand(z):
@@ -366,7 +388,7 @@ def population_l1(m: Mixture, clf: QuadClassifier, other: QuadClassifier) -> flo
     the roots of the logit difference, where |f - g| has its kinks."""
     w = _weights((clf, other))
     lo, hi, pts = quadrature_domain(m)
-    kinks = _quadratic_roots(*(w[0] - w[1])[::-1])
+    kinks = QuadClassifier(w[0] - w[1]).kinks(0.0)
 
     def integrand(z):
         f = sigmoid(_logits(w, z))

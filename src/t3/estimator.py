@@ -20,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import as_array, check_temperature
-from .classifier import (
-    Classifier,
-    bayes_classifier,
-    indicator_classifier,
-)
-from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
+from .classifier import Classifier
+from .dist import Mixture, quadrature, quadrature_domain
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,3 @@ def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:
     lo, hi, seeds = quadrature_domain(m, temps)
     z_vals = quadrature(integrand, lo, hi, breakpoints=seeds)
     return T3Estimator(m, clf, tuple(temps.tolist()), tuple(z_vals.tolist()))
-
-
-def oracle_classifier(m: Mixture) -> Classifier:
-    """The exact posterior for the mixture family in hand: closed-form
-    quadratic sigmoid for Gaussians, support indicator for uniforms."""
-    if m.is_gaussian:
-        return bayes_classifier(m)
-    if isinstance(m.retain, UniformComponent) and isinstance(m.forget, UniformComponent):
-        return indicator_classifier(m)
-    raise TypeError("no closed-form posterior for mixed component families")

@@ -187,7 +187,7 @@ class TrialRecord:
         return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
 
 
-CSV_HEADER = "seed,v_f,n,T,lambda,delta_hat,delta_se,retain_err,retain_se,forget_err,forget_se"
+CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mean_se
-from .classifier import LOGIT_CLAMP, PRED_CLAMP, PiecewiseClassifier, _quadratic_roots
+from .classifier import LOGIT_CLAMP, PiecewiseClassifier
 from .dist import (
     Mixture,
     UniformComponent,
@@ -28,7 +28,6 @@ from .dist import (
 )
 from .estimator import T3Estimator
 
-LOG_CLAMP = math.log(PRED_CLAMP)
 FORGET_ROOT_RTOL = 1e-9  # relative width at which exact_forget_error's kinks stop
 
 
@@ -48,15 +47,14 @@ def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
     mean of ln p_r(z) - ln p_hat(z) over one sample z ~ p_r, shared across
     the grid (common random numbers).  Works in log densities throughout so
     sharp peaks cannot overflow; ln p_r is computed once and shared with
-    the mixture density, and ln f is floored at ln PRED_CLAMP, keeping
-    every term finite on the retain support.  The terms are formed one T at
-    a time in one buffer (the spent sample), so no (T x n_mc) block is held."""
+    the mixture density, and log_predict floors ln f at ln PRED_CLAMP,
+    keeping every term finite on the retain support.  The terms are formed
+    one T at a time in one buffer (the spent sample), so no (T x n_mc) block is held."""
     m = e.mixture
     z = m.retain.sample(rng, n_mc)
     log_pr = m.retain.log_density(z)
     log_p = m.log_density(z, log_pr)
     log_f = e.classifier.log_predict(z)
-    np.maximum(log_f, LOG_CLAMP, out=log_f)
     terms = z
     estimates = []
     for T, partition in zip(e.temperatures, e.partitions):
@@ -93,17 +91,9 @@ def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
     return estimates
 
 
-def _jumps(clf) -> tuple[float, ...]:
-    """Where the classifier's prediction jumps: a piecewise classifier's
-    support edges; a quadratic logit has none."""
-    if isinstance(clf, PiecewiseClassifier):
-        return (*clf.retain_support, *clf.forget_support)
-    return ()
-
-
 def exact_retain_error(e: T3Estimator) -> list[float]:
     """KL(p_r || p_hat) at every temperature of ``e`` by quadrature, with
-    ln f floored at ln PRED_CLAMP as in retain_error:
+    ln f floored at ln PRED_CLAMP by log_predict, as in retain_error:
 
         -H(p_r) - A / T - B + ln Z_T,   A = int p_r ln p,
                                         B = int p_r max(ln f, ln PRED_CLAMP).
@@ -111,23 +101,18 @@ def exact_retain_error(e: T3Estimator) -> list[float]:
     A and B do not depend on T: they are one two-row quadrature over
     quadrature_domain(m), so a temperature's value is the same whatever
     else is in the grid.  It is pre-split also where the floor starts, the
-    roots of w0 + w1 z + w2 z^2 = -LOGIT_CLAMP (a piecewise classifier's
-    support edges instead).  p_r ln p is read as 0 where p_r vanishes (off a
-    uniform support ln p may be -inf, and 0 * inf would be NaN)."""
+    classifier's kinks at logit -LOGIT_CLAMP.  p_r ln p is read as 0 where
+    p_r vanishes (off a uniform support ln p may be -inf, and 0 * inf would
+    be NaN)."""
     m, clf = e.mixture, e.classifier
     lo, hi, pts = quadrature_domain(m)
-    if isinstance(clf, PiecewiseClassifier):
-        pts += _jumps(clf)
-    else:
-        w0, w1, w2 = clf.weights
-        pts += _quadratic_roots(w2, w1, w0 + LOGIT_CLAMP)
+    pts += clf.kinks(-LOGIT_CLAMP)
 
     def integrand(z):
         log_pr = m.retain.log_density(z)
         p_r = np.exp(log_pr)
         log_p = np.where(p_r > 0.0, m.log_density(z, log_pr), 0.0)
-        log_f = np.maximum(clf.log_predict(z), LOG_CLAMP)
-        return p_r * np.stack([log_p, log_f])
+        return p_r * np.stack([log_p, clf.log_predict(z)])
 
     a, b = quadrature(integrand, lo, hi, breakpoints=pts)
     h_r = m.retain.entropy()
@@ -139,13 +124,13 @@ def exact_forget_error(e: T3Estimator) -> list[float]:
     one temperature at a time: each integrates over quadrature_domain(m, [T])
     pre-split also at its own kinks, the roots of p_r - p_hat_T (those of
     ln p_r - ln p_hat_T) from dist.sign_change_roots, so a temperature's
-    value is the same whatever else is in the grid.  The scan for those
-    roots also cuts at a quadratic logit's roots, where f moves fastest: a
-    steep fit switches on inside the forget spike, and the two kinks it
-    makes there can lie closer together than any fixed scan step.  p_hat is
-    formed as forget_error forms it, from the unclamped prediction."""
+    value is the same whatever else is in the grid.  The scan and the
+    quadrature also cut at the classifier's kinks at logit 0: a steep fit
+    switches on inside the forget spike, and the two kinks it makes there
+    can lie closer together than any fixed scan step.  p_hat is formed as
+    forget_error forms it, from the unclamped prediction."""
     m, clf = e.mixture, e.classifier
-    steep = () if isinstance(clf, PiecewiseClassifier) else _quadratic_roots(*clf.weights[::-1])
+    kinks = clf.kinks(0.0)
     values = []
     for T, partition in zip(e.temperatures, e.partitions):
 
@@ -160,8 +145,8 @@ def exact_forget_error(e: T3Estimator) -> list[float]:
             return np.exp(m.forget.log_density(z)) * np.abs(gap(z))
 
         lo, hi, pts = quadrature_domain(m, [T])
-        pts += _jumps(clf)
-        pts += sign_change_roots(gap, lo, hi, pts + steep, rtol=FORGET_ROOT_RTOL)
+        pts += kinks
+        pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
         values.append(float(quadrature(integrand, lo, hi, breakpoints=pts)))
     return values
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from t3 import bounds as B
-from t3.classifier import witness_classifier
+from t3.classifier import oracle_classifier, witness_classifier
 from t3.dist import (
     ROOT_SCAN_POINTS,
     GaussianComponent,
@@ -19,7 +19,7 @@ from t3.dist import (
     quadrature_domain,
     sign_change_roots,
 )
-from t3.estimator import build, oracle_classifier
+from t3.estimator import build
 from t3.metrics import closed_form_errors
 
 GAUSS = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
@@ -84,6 +84,27 @@ class TestLemma1:
     @pytest.mark.parametrize("delta,expected", [(0.0, 0.0), (0.02, 0.1), (2.0, 1.0)])
     def test_values(self, delta, expected):
         np.testing.assert_allclose(B.lemma1_l1_bound(delta), expected, atol=1e-15)
+
+
+DELTA_EVALUATORS = {
+    "thm1": lambda d: B.thm1_retain_bound(d, 0.1),
+    "thm2": lambda d: B.thm2_forget_bound(d, 0.1, 1.0),
+    "thm3": lambda d: B.thm3_forget_lower_bound(d, 0.1, 1.0),
+    "lemma1": B.lemma1_l1_bound,
+    "lemma2": lambda d: B.lemma2_partition_lower_bound(FLAT, d, 2.0),
+    "thm4": lambda d: B.thm4_forget_bound(FLAT, d, 2.0),
+    "thm5": lambda d: B.thm5_retain_bound(FLAT, d, 2.0),
+}
+
+
+class TestDeltaGuard:
+    @pytest.mark.parametrize("delta", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("name", DELTA_EVALUATORS)
+    def test_rejects_a_negative_or_nonfinite_delta(self, name, delta):
+        # a negative delta made thm4's bound complex, inf divided by zero in
+        # it, and NaN gave a NaN bound everywhere
+        with pytest.raises(ValueError, match="delta"):
+            DELTA_EVALUATORS[name](delta)
 
 
 class TestLemma2:

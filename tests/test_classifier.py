@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from t3._kernels import mean_se
 from t3.classifier import (
+    LOG_CLAMP,
+    LOGIT_CLAMP,
     PRED_CLAMP,
     LabeledDataset,
     PiecewiseClassifier,
@@ -400,6 +402,48 @@ class TestQuadraticRoots:
     ])
     def test_roots(self, coeffs, roots):
         assert sorted(_quadratic_roots(*coeffs)) == pytest.approx(roots, abs=1e-15)
+
+
+WEIGHT = st.one_of(st.just(0.0), st.floats(-50.0, -1e-3), st.floats(1e-3, 50.0))
+LEVEL = st.floats(-40.0, 40.0, allow_subnormal=False)
+
+
+class TestKinks:
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.tuples(WEIGHT, WEIGHT, WEIGHT), level=LEVEL)
+    @example(w=(1.0, -2.0, 0.0), level=0.5)
+    @example(w=(3.0, 0.0, 0.0), level=-1.0)
+    @example(w=(-4.0, 0.0, 1.0), level=-LOGIT_CLAMP)
+    def test_roots_are_every_level_crossing(self, w, level):
+        clf = QuadClassifier(np.array(w))
+        roots = np.array(clf.kinks(level))
+        # each root puts the logit within rounding of the level
+        for r in roots:
+            terms = np.array([w[0], w[1] * r, w[2] * r * r])
+            assert abs(terms.sum() - level) <= 1e-13 * (np.abs(terms).sum() + abs(level))
+        # every sign change of logit - level on a fine grid brackets a root
+        R = 10.0 + 2.0 * float(np.max(np.abs(roots), initial=0.0))
+        grid = np.linspace(-R, R, 20_001)
+        d = np.sign(quadratic_features(grid) @ np.array(w) - level)
+        for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+            slop = 1e-9 * R
+            assert np.any((roots >= grid[i] - slop) & (roots <= grid[i + 1] + slop)), (
+                f"no root between {grid[i]} and {grid[i + 1]}"
+            )
+
+    def test_piecewise_kinks_are_its_support_edges(self):
+        clf = PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), 1.0, 0.25)
+        for level in (0.0, -LOGIT_CLAMP, LOGIT_CLAMP):
+            assert clf.kinks(level) == (2.0, 3.0, 0.0, 1.0)
+
+    def test_log_predict_floors_at_the_clamp(self):
+        # a logit of -100 predicts 3.7e-44: both types floor ln f at ln c
+        quad = QuadClassifier(np.array([-100.0, 0.0, 0.0]))
+        piece = PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), 1.0, 1.0 / (1.0 + math.exp(100.0)))
+        assert LOG_CLAMP == math.log(PRED_CLAMP)
+        assert quad.log_predict(np.array([-1.0, 0.5, 2.5])).tolist() == [LOG_CLAMP] * 3
+        assert piece.log_predict(np.array([-1.0, 0.5])).tolist() == [LOG_CLAMP] * 2
+        assert piece.log_predict(np.array([2.5])).tolist() == [0.0]
 
 
 class TestLemma1Property:

@@ -351,6 +351,13 @@ class TestEmit:
         )
         return SweepTable(sweep_key="v_f", records=(rec,))
 
+    def test_csv_header_is_the_readme_schema(self):
+        # CSV_HEADER comes from the TrialRecord fields, so reordering a field
+        # changes the schema the README states
+        header = "seed,v_f,n,T,lambda,delta_hat,delta_se,retain_err,retain_se,forget_err,forget_se"
+        assert CSV_HEADER == header
+        assert f"`{header}`" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
     def test_csv_header_and_roundtrip(self, tmp_path):
         table = self._tiny_table()
         path = tmp_path / "t.csv"
