@@ -6,6 +6,8 @@ sigmoid behind the classifiers and the tinylm head, the logistic loss that
 both trainers minimize, the Monte Carlo (mean, standard error) pair that
 every estimate reports, and the guard on every temperature.  This module
 imports nothing from the package, so any module may use it without a cycle.
+Neither it nor t3.metrics reduces with ``@``, np.dot, np.cov or any BLAS
+call: OpenBLAS threads on Monte Carlo arrays oversubscribe a sweep's pool.
 
 Importing it also sets the C heap to keep freed Monte Carlo arrays (see
 _keep_freed_arrays_in_heap).

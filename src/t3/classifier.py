@@ -304,8 +304,8 @@ def witness_classifier(
     """Risk-saturating classifier: 1 on the retain support and
     eps = 1 - exp(-delta/gamma) on the forget support, so that its exact
     excess risk is -gamma * ln(1 - eps) = delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    if not 0.0 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must lie in (0, inf), got {delta}")
     eps = -math.expm1(-delta / gamma)
     return PiecewiseClassifier(
         retain_support=retain_support,

@@ -55,8 +55,16 @@ class T3Estimator:
         the caller."""
         z = as_array(z)
         log_p = self.mixture.log_density(z) if log_p is None else log_p
-        base = np.exp(log_p / np.array(self.temperatures)[:, None])
-        return base * self.classifier.predict(z) / np.array(self.partitions)[:, None]
+        return tilted(log_p, self.classifier.predict(z), np.array(self.temperatures)[:, None],
+                      np.array(self.partitions)[:, None])
+
+
+def tilted(log_p, f, T, partition, out=None) -> np.ndarray:
+    """p_hat = exp(ln p / T) * f / Z, in that operation order, into ``out``
+    when given; T and Z are scalars, or (k, 1) columns for a (k, n) block."""
+    out = np.divide(log_p, T, out=out)
+    np.multiply(np.exp(out, out=out), f, out=out)
+    return np.divide(out, partition, out=out)
 
 
 def build(m: Mixture, clf: Classifier, temperatures) -> T3Estimator:

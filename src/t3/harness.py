@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional, get_args, get_type_hints
 
@@ -374,6 +373,7 @@ def _sweep(
         lams = [lambda_search(config, *g) for g in tagged]
         batches = [_trial_task(t) for t in trial_tasks(lams)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here: bounds runs open no pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             risks = iter(pool.map(_lambda_cell, [c for cs in cells for c in cs], chunksize=1))
             lams = [_pick_lambda(config, [next(risks) for _ in cs]) for cs in cells]

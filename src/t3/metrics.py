@@ -1,7 +1,7 @@
 """Retain and Forget Error.
 
-Retain Error is the forward KL divergence KL(p_r || p_hat), estimated as a
-Monte Carlo average of log-density differences under p_r.  Forget Error is
+Retain Error is the forward KL divergence KL(p_r || p_hat), estimated from
+Monte Carlo means of log densities under p_r.  Forget Error is
 the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  Each metric scores
 every temperature of an estimator's grid on one shared sample.  Both are
 1-d integrals, so each also has an exact form by quadrature, which the
@@ -26,7 +26,7 @@ from .dist import (
     quadrature_domain,
     sign_change_roots,
 )
-from .estimator import T3Estimator
+from .estimator import T3Estimator, tilted
 
 FORGET_ROOT_RTOL = 1e-9  # relative width at which exact_forget_error's kinks stop
 
@@ -43,28 +43,36 @@ class ErrorEstimate:
 
 
 def retain_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
-    """MC estimate of KL(p_r || p_hat) at every temperature of ``e``: the
-    mean of ln p_r(z) - ln p_hat(z) over one sample z ~ p_r, shared across
-    the grid (common random numbers).  Works in log densities throughout so
-    sharp peaks cannot overflow; ln p_r is computed once and shared with
-    the mixture density, and log_predict floors ln f at ln PRED_CLAMP,
-    keeping every term finite on the retain support.  The terms are formed
-    one T at a time in one buffer (the spent sample), so no (T x n_mc) block is held."""
-    m = e.mixture
-    z = m.retain.sample(rng, n_mc)
-    log_pr = m.retain.log_density(z)
-    log_p = m.log_density(z, log_pr)
-    log_f = e.classifier.log_predict(z)
-    terms = z
-    estimates = []
-    for T, partition in zip(e.temperatures, e.partitions):
-        # log_pr - (log_p / T + log_f - ln Z_T), in that operation order
-        np.divide(log_p, T, out=terms)
-        terms += log_f
-        terms -= math.log(partition)
-        np.subtract(log_pr, terms, out=terms)
-        estimates.append(ErrorEstimate(*mean_se(terms), n_mc))
-    return estimates
+    """MC estimate of KL(p_r || p_hat) at every temperature of ``e``, in one
+    pass over one sample z ~ p_r shared across the grid: _retain_kl of the
+    means of c = ln p_r - ln f - ln p and a = ln p, each T's standard error
+    from their sample (co)variances.  All in log densities, so peaks cannot
+    overflow; ln p_r is shared with ln p, and log_predict floors ln f."""
+    if n_mc < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {n_mc}")
+    z = e.mixture.retain.sample(rng, n_mc)
+    c = e.mixture.retain.log_density(z)
+    a = e.mixture.log_density(z, c)
+    c -= e.classifier.log_predict(z)
+    c -= a
+    c_mean, a_mean = (float(np.add.reduce(x, axis=None) / n_mc) for x in (c, a))
+    c -= c_mean
+    a -= a_mean
+    s_cc, s_ca, s_aa = (float(np.add.reduce(np.multiply(x, y, out=z), axis=None) / (n_mc - 1))
+                        for x, y in ((c, c), (c, a), (a, a)))  # ufuncs, no BLAS
+
+    def std_err(beta):  # of the mean of c + beta a; the floor absorbs rounding
+        return math.sqrt(max(s_cc + 2.0 * beta * s_ca + beta * beta * s_aa, 0.0)) / math.sqrt(n_mc)
+
+    return [ErrorEstimate(kl, std_err(beta), n_mc) for beta, kl in _retain_kl(e, c_mean, a_mean)]
+
+
+def _retain_kl(e: T3Estimator, c: float, a: float) -> list[tuple[float, float]]:
+    """(beta, KL_T) at each temperature of ``e``: with beta = 1 - 1/T,
+    KL(p_r || p_hat_T) = c + beta a + ln Z_T for c = E_{p_r}[ln p_r - ln f - ln p]
+    and a = E_{p_r}[ln p], affine in 1/T plus the strictly convex ln Z_T."""
+    betas = (1.0 - 1.0 / T for T in e.temperatures)
+    return [(beta, c + beta * a + math.log(z)) for beta, z in zip(betas, e.partitions)]
 
 
 def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[ErrorEstimate]:
@@ -77,26 +85,17 @@ def forget_error(e: T3Estimator, n_mc: int, rng: np.random.Generator) -> list[Er
     log_p = m.log_density(z, p_r)
     np.exp(p_r, out=p_r)
     f = e.classifier.predict(z)
-    terms = z
-    estimates = []
-    for T, partition in zip(e.temperatures, e.partitions):
-        # |p_r - exp(log_p / T) * f / Z_T|, in that operation order
-        np.divide(log_p, T, out=terms)
-        np.exp(terms, out=terms)
-        terms *= f
-        terms /= partition
-        np.subtract(p_r, terms, out=terms)
-        np.abs(terms, out=terms)
-        estimates.append(ErrorEstimate(*mean_se(terms), n_mc))
-    return estimates
+    gaps = (np.abs(np.subtract(p_r, tilted(log_p, f, T, Z, out=z), out=z), out=z)
+            for T, Z in zip(e.temperatures, e.partitions))
+    return [ErrorEstimate(*mean_se(gap), n_mc) for gap in gaps]
 
 
 def exact_retain_error(e: T3Estimator) -> list[float]:
     """KL(p_r || p_hat) at every temperature of ``e`` by quadrature, with
-    ln f floored at ln PRED_CLAMP by log_predict, as in retain_error:
+    ln f floored at ln PRED_CLAMP by log_predict, as in retain_error: the
+    _retain_kl assembly with c = -H(p_r) - A - B and a = A, where
 
-        -H(p_r) - A / T - B + ln Z_T,   A = int p_r ln p,
-                                        B = int p_r max(ln f, ln PRED_CLAMP).
+        A = int p_r ln p,   B = int p_r max(ln f, ln PRED_CLAMP).
 
     A and B do not depend on T: they are one two-row quadrature over
     quadrature_domain(m), so a temperature's value is the same whatever
@@ -114,9 +113,8 @@ def exact_retain_error(e: T3Estimator) -> list[float]:
         log_p = np.where(p_r > 0.0, m.log_density(z, log_pr), 0.0)
         return p_r * np.stack([log_p, clf.log_predict(z)])
 
-    a, b = quadrature(integrand, lo, hi, breakpoints=pts)
-    h_r = m.retain.entropy()
-    return [float(-h_r - a / T - b + math.log(z)) for T, z in zip(e.temperatures, e.partitions)]
+    a, b = map(float, quadrature(integrand, lo, hi, breakpoints=pts))
+    return [kl for _, kl in _retain_kl(e, -m.retain.entropy() - a - b, a)]
 
 
 def exact_forget_error(e: T3Estimator) -> list[float]:
@@ -136,10 +134,7 @@ def exact_forget_error(e: T3Estimator) -> list[float]:
 
         def gap(z):
             log_pr = m.retain.log_density(z)
-            p_hat = np.exp(m.log_density(z, log_pr) / T)
-            p_hat *= clf.predict(z)
-            p_hat /= partition
-            return np.exp(log_pr) - p_hat
+            return np.exp(log_pr) - tilted(m.log_density(z, log_pr), clf.predict(z), T, partition)
 
         def integrand(z):
             return np.exp(m.forget.log_density(z)) * np.abs(gap(z))

@@ -276,6 +276,11 @@ class TestWitness:
         with pytest.raises(ValueError):
             PiecewiseClassifier((0.0, 2.0), (1.0, 3.0))
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.01])
+    def test_rejects_delta_outside_zero_to_inf(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must"):
+            witness_instance(0.1, delta)
+
 
 class TestExcessRisk:
     def test_bayes_vs_itself_is_zero(self):

@@ -17,7 +17,7 @@ from t3.dist import (
     quadrature,
     quadrature_domain,
 )
-from t3.estimator import build
+from t3.estimator import build, tilted
 from t3 import bounds as B
 from t3 import tinylm as tl
 from t3.bounds import lemma2_partition_lower_bound
@@ -264,6 +264,40 @@ class TestDensity:
             np.exp(DEFAULT.log_density(z1) / grid) * clf.predict(z1)
         ) / (np.exp(DEFAULT.log_density(z2) / grid) * clf.predict(z2))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+class TestTilted:
+    """tilted is the one formula for p_hat: bit for bit the expressions that
+    density, forget_error and exact_forget_error's gap formed before it."""
+
+    CLF = QuadClassifier(weights=np.array([0.5, -0.3, 0.2]))
+    GRID = (1.0, 1.3, 2.0, 3.0)
+
+    def test_density_block(self):
+        est = build(DEFAULT, self.CLF, self.GRID)
+        z = np.linspace(-6.0, 8.0, 1_001)
+        log_p = DEFAULT.log_density(z)
+        base = np.exp(log_p / np.array(est.temperatures)[:, None])
+        former = base * self.CLF.predict(z) / np.array(est.partitions)[:, None]
+        assert np.array_equal(est.density(z), former)
+        assert np.array_equal(est.density(z, log_p), former)
+
+    def test_one_temperature_into_a_buffer(self):
+        est = build(DEFAULT, self.CLF, self.GRID)
+        z = DEFAULT.forget.sample(np.random.default_rng(5), 10_000)
+        log_p, f = DEFAULT.log_density(z), self.CLF.predict(z)
+        for T, partition in zip(est.temperatures, est.partitions):
+            former = np.divide(log_p, T)
+            np.exp(former, out=former)
+            former *= f
+            former /= partition
+            buffer = np.empty_like(z)
+            assert tilted(log_p, f, T, partition, out=buffer) is buffer
+            assert np.array_equal(buffer, former)
+            fresh = np.exp(log_p / T)
+            fresh *= f
+            fresh /= partition
+            assert np.array_equal(tilted(log_p, f, T, partition), fresh)
 
 
 class TestTemperedOracle:

@@ -532,23 +532,34 @@ class TestSoundnessSweep:
     def test_root_scan_leaves_numpy_ma_unimported(self):
         # np.union1d imports numpy.ma (~15 ms) on its first call; a fresh
         # process must not pay that inside its first bounds row
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from t3.classifier import LabeledDataset, train\n"
-            "from t3.dist import GaussianComponent, Mixture\n"
-            "from t3.harness import soundness_reports_for_classifier\n"
-            "m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))\n"
-            "clf = train(LabeledDataset.from_mixture(m, 100, np.random.default_rng(3)), 1e-3)\n"
-            "assert len(soundness_reports_for_classifier(m, clf, tempered_t=2.0)) == 7\n"
-            "print('numpy.ma' in sys.modules)\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert not _loaded_after_one_bounds_row("numpy.ma")
+
+    def test_bounds_row_leaves_the_process_pool_unimported(self):
+        # importing concurrent.futures.process adds tens of ms to a fresh
+        # process; only a sweep with workers > 1 opens a pool and needs it
+        assert not _loaded_after_one_bounds_row("concurrent.futures.process")
+
+
+def _loaded_after_one_bounds_row(module: str) -> bool:
+    """Whether ``module`` is in sys.modules after a fresh process imports
+    t3.harness and measures one classifier's bounds rows."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from t3.classifier import LabeledDataset, train\n"
+        "from t3.dist import GaussianComponent, Mixture\n"
+        "from t3.harness import soundness_reports_for_classifier\n"
+        "m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))\n"
+        "clf = train(LabeledDataset.from_mixture(m, 100, np.random.default_rng(3)), 1e-3)\n"
+        "assert len(soundness_reports_for_classifier(m, clf, tempered_t=2.0)) == 7\n"
+        f"print({module!r} in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip() == "True"
 
 
 class _InlinePool:
@@ -593,9 +604,9 @@ class TestWorkerDeterminism:
         assert len(set(picked)) > 1
 
     def test_one_pool_per_sweep_capped_at_task_count(self, monkeypatch):
-        from t3 import harness
+        import concurrent.futures
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "opened", [])
         serial = run_experiment1(FAST, workers=1)
         assert _InlinePool.opened == []

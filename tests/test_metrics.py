@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from t3._kernels import mean_se
 from t3.classifier import (
     LOGIT_CLAMP,
     PRED_CLAMP,
@@ -399,3 +400,61 @@ class TestMonteCarloAgainstExact:
             if max(map(abs, z)) > self.K:
                 failing.append((i, [round(v, 2) for v in z]))
         assert failing == []
+
+
+def _per_t_retain_error(e, n_mc, rng):
+    """The former retain_error: one two-pass (mean, SE) of
+    ln p_r - (ln p / T + ln f - ln Z_T) per temperature, on one sample."""
+    m = e.mixture
+    z = m.retain.sample(rng, n_mc)
+    log_pr = m.retain.log_density(z)
+    log_p = m.log_density(z, log_pr)
+    log_f = e.classifier.log_predict(z)
+    return [mean_se(log_pr - (log_p / T + log_f - math.log(partition)))
+            for T, partition in zip(e.temperatures, e.partitions)]
+
+
+class TestOnePassRetainError:
+    """retain_error scores the whole grid from sample means and (co)variances
+    of c = ln p_r - ln f - ln p and a = ln p; it holds to the per-T form."""
+
+    GRID = tuple(1.0 + 0.1 * i for i in range(21))
+
+    def _assert_matches_per_t(self, m, clf, seed):
+        est = build(m, clf, self.GRID)
+        one_pass = retain_error(est, 20_000, np.random.default_rng(seed))
+        per_t = _per_t_retain_error(est, 20_000, np.random.default_rng(seed))
+        np.testing.assert_allclose([r.value for r in one_pass], [v for v, _ in per_t], rtol=1e-12)
+        # the witness's terms are constant: its SEs are rounding dust
+        np.testing.assert_allclose([r.std_err for r in one_pass], [s for _, s in per_t],
+                                   rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_random_gaussian_instances(self, i):
+        inst = np.random.default_rng(9_000 + i)
+        m = Mixture(
+            float(inst.uniform(0.05, 0.5)),
+            GaussianComponent(float(inst.uniform(0.5, 1.5)), float(inst.uniform(0.5, 2.0))),
+            GaussianComponent(float(inst.uniform(-0.5, 0.5)), float(10.0 ** inst.uniform(-4, 0))),
+        )
+        clf = QuadClassifier(weights=inst.normal(scale=0.6, size=3) + np.array([1.0, 0, 0]))
+        self._assert_matches_per_t(m, clf, i)
+
+    def test_logit_below_the_clamp_in_the_retain_bulk(self):
+        clf = QuadClassifier(weights=np.array([-20.0, 0.0, -5.0]))
+        z = DEFAULT.retain.sample(np.random.default_rng(0), 1_000)
+        logits = -20.0 - 5.0 * z**2
+        assert 0.25 < np.mean(logits < -LOGIT_CLAMP) < 0.75  # floored and unfloored draws
+        self._assert_matches_per_t(DEFAULT, clf, 1)
+
+    def test_witness(self):
+        self._assert_matches_per_t(WITNESS_MIX, witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0)), 2)
+
+    def test_t1_standard_error_is_that_of_c(self):
+        est = build(DEFAULT, QuadClassifier(weights=np.array([0.5, -0.3, 0.2])), [1.0])
+        (r,) = retain_error(est, 5_000, np.random.default_rng(4))
+        z = DEFAULT.retain.sample(np.random.default_rng(4), 5_000)
+        log_pr = DEFAULT.retain.log_density(z)
+        log_p = DEFAULT.log_density(z, log_pr)
+        c = log_pr - est.classifier.log_predict(z) - log_p
+        assert r.std_err == mean_se(c)[1]
