@@ -304,7 +304,9 @@ def witness_classifier(
     """Risk-saturating classifier: 1 on the retain support and
     eps = 1 - exp(-delta/gamma) on the forget support, so that its exact
     excess risk is -gamma * ln(1 - eps) = delta."""
-    if not 0.0 < delta < math.inf:  # NaN fails too
+    if not 0.0 < gamma < 1.0:  # NaN fails too
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must lie in (0, inf), got {delta}")
     eps = -math.expm1(-delta / gamma)
     return PiecewiseClassifier(

@@ -52,9 +52,12 @@ class T3Estimator:
     def density(self, z, log_p=None) -> np.ndarray:
         """p(z)^(1/T) * f(z) / Z as a (k, n) block, one row per T; no
         clamping.  ``log_p``, when given, is ln p(z), already computed by
-        the caller."""
+        the caller, in z's shape."""
         z = as_array(z)
-        log_p = self.mixture.log_density(z) if log_p is None else log_p
+        if log_p is None:
+            log_p = self.mixture.log_density(z)
+        elif np.shape(log_p) != z.shape:
+            raise ValueError(f"log_p has shape {np.shape(log_p)}, z has shape {z.shape}")
         return tilted(log_p, self.classifier.predict(z), np.array(self.temperatures)[:, None],
                       np.array(self.partitions)[:, None])
 

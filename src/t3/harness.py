@@ -411,18 +411,18 @@ def soundness_reports_for_classifier(
     Nothing is drawn: delta comes from exact_excess_risk, lemma 1's
     E_p|f* - f| from population_l1, and the retain and forget errors from
     exact_retain_error and exact_forget_error, all quadratures, so every
-    row's standard error is 0 and two calls give the same rows.  Each Z is
-    its own one-row ``build``, and each error integrates a temperature on
-    its own domain, so the untempered rows are the same with or without
-    ``tempered_t``."""
+    row's standard error is 0 and two calls give the same rows.  Each T has
+    its own one-row ``build``, which exact_forget_error scores on its own,
+    and exact_retain_error's A and B do not depend on T, so the untempered
+    rows are the same with or without ``tempered_t``."""
     bayes = bayes_classifier(m)
     delta = exact_excess_risk(clf, m, bayes)
     pf_inf = m.forget.peak_density()
     inputs = dict(inputs or {}, delta=delta, pf_inf=pf_inf)
     temps = (1.0,) if tempered_t is None else (1.0, float(tempered_t))
-    est = T3Estimator(m, clf, temps, tuple(build(m, clf, [T]).partitions[0] for T in temps))
-    retain = exact_retain_error(est)
-    forget = exact_forget_error(est)
+    ests = [build(m, clf, [T]) for T in temps]
+    retain = exact_retain_error(T3Estimator(m, clf, temps, tuple(e.partitions[0] for e in ests)))
+    forget = [exact_forget_error(e)[0] for e in ests]
     l1_row = bounds_mod.BoundReport(
         bound_name="classifier_l1_upper",
         inputs=inputs,
@@ -456,7 +456,7 @@ def soundness_reports_for_classifier(
             bounds_mod.BoundReport(
                 bound_name="partition_lower" + suffix,
                 inputs=row_inputs,
-                bound_value=est.partitions[i],
+                bound_value=ests[i].partitions[0],
                 measured_value=bounds_mod.lemma2_partition_lower_bound(m, delta, T),
                 measured_std_err=0.0,
             ),

@@ -2,12 +2,12 @@
 
 Retain Error is the forward KL divergence KL(p_r || p_hat), estimated from
 Monte Carlo means of log densities under p_r.  Forget Error is
-the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  Each metric scores
-every temperature of an estimator's grid on one shared sample.  Both are
-1-d integrals, so each also has an exact form by quadrature, which the
+the p_f-weighted L1 distance E_{p_f} |p_r - p_hat|.  Both are 1-d
+integrals, so each also has an exact form by quadrature, which the
 bound-soundness rows measure and the tests hold the Monte Carlo estimates
-to.  On the disjoint-uniform witness family both have closed forms,
-evaluated here by finite algebra.
+to.  Each form scores every temperature of an estimator's grid at once, on
+one shared sample or in one quadrature.  On the disjoint-uniform witness
+family both have closed forms, evaluated here by finite algebra.
 """
 
 from __future__ import annotations
@@ -119,31 +119,27 @@ def exact_retain_error(e: T3Estimator) -> list[float]:
 
 def exact_forget_error(e: T3Estimator) -> list[float]:
     """E_{p_f} |p_r - p_hat| at every temperature of ``e`` by quadrature,
-    one temperature at a time: each integrates over quadrature_domain(m, [T])
-    pre-split also at its own kinks, the roots of p_r - p_hat_T (those of
-    ln p_r - ln p_hat_T) from dist.sign_change_roots, so a temperature's
-    value is the same whatever else is in the grid.  The scan and the
-    quadrature also cut at the classifier's kinks at logit 0: a steep fit
-    switches on inside the forget spike, and the two kinks it makes there
-    can lie closer together than any fixed scan step.  p_hat is formed as
-    forget_error forms it, from the unclamped prediction."""
-    m, clf = e.mixture, e.classifier
-    kinks = clf.kinks(0.0)
-    values = []
-    for T, partition in zip(e.temperatures, e.partitions):
+    the whole grid at once: one dist.sign_change_roots scan of the (k, n)
+    gap p_r - p_hat_T from e.density finds every row's roots, and p_f |gap|
+    is one k-row quadrature over quadrature_domain(m, e.temperatures)
+    pre-split at all of them.  The scan and the quadrature also cut at the
+    classifier's kinks at logit 0: a steep fit switches on inside the forget
+    spike, and the two kinks it makes there can lie closer together than any
+    fixed scan step.  A temperature's value moves with the rest of the grid
+    by quadrature rounding only."""
+    m = e.mixture
+    lo, hi, pts = quadrature_domain(m, e.temperatures)
+    pts += e.classifier.kinks(0.0)
 
-        def gap(z):
-            log_pr = m.retain.log_density(z)
-            return np.exp(log_pr) - tilted(m.log_density(z, log_pr), clf.predict(z), T, partition)
+    def gap(z):
+        log_pr = m.retain.log_density(z)
+        return np.exp(log_pr) - e.density(z, m.log_density(z, log_pr))
 
-        def integrand(z):
-            return np.exp(m.forget.log_density(z)) * np.abs(gap(z))
+    def integrand(z):
+        return np.exp(m.forget.log_density(z)) * np.abs(gap(z))
 
-        lo, hi, pts = quadrature_domain(m, [T])
-        pts += kinks
-        pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
-        values.append(float(quadrature(integrand, lo, hi, breakpoints=pts)))
-    return values
+    pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
+    return quadrature(integrand, lo, hi, breakpoints=pts).tolist()
 
 
 def closed_form_errors(m: Mixture, clf: PiecewiseClassifier) -> tuple[float, float]:

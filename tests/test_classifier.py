@@ -281,6 +281,11 @@ class TestWitness:
         with pytest.raises(ValueError, match=r"^delta must"):
             witness_instance(0.1, delta)
 
+    @pytest.mark.parametrize("gamma", [0.0, math.nan, -0.1, 1.5, math.inf])
+    def test_rejects_gamma_outside_zero_to_one(self, gamma):
+        with pytest.raises(ValueError, match=r"^gamma must"):
+            witness_classifier(0.01, gamma, (2.0, 3.0), (0.0, 1.0))
+
 
 class TestExcessRisk:
     def test_bayes_vs_itself_is_zero(self):

@@ -282,6 +282,12 @@ class TestTilted:
         assert np.array_equal(est.density(z), former)
         assert np.array_equal(est.density(z, log_p), former)
 
+    def test_density_rejects_log_p_of_other_points(self):
+        est = build(DEFAULT, self.CLF, self.GRID)
+        log_p = DEFAULT.log_density(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=r"^log_p has shape \(5,\), z has shape \(1,\)$"):
+            est.density(np.array([0.5]), log_p)
+
     def test_one_temperature_into_a_buffer(self):
         est = build(DEFAULT, self.CLF, self.GRID)
         z = DEFAULT.forget.sample(np.random.default_rng(5), 10_000)

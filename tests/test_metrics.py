@@ -24,10 +24,12 @@ from t3.dist import (
     UniformComponent,
     quadrature,
     quadrature_domain,
+    sign_change_roots,
 )
-from t3.estimator import T3Estimator, build
+from t3.estimator import T3Estimator, build, tilted
 from t3.harness import ExperimentConfig, derive_seed
 from t3.metrics import (
+    FORGET_ROOT_RTOL,
     ErrorEstimate,
     closed_form_errors,
     exact_forget_error,
@@ -241,6 +243,28 @@ def _grid_estimator(m, clf, temperatures):
     return T3Estimator(m, clf, tuple(temperatures), parts)
 
 
+def _per_t_forget_error(e):
+    """The former exact_forget_error: one root scan and one quadrature per
+    temperature, each over that temperature's own domain."""
+    m, clf = e.mixture, e.classifier
+    kinks = clf.kinks(0.0)
+    values = []
+    for T, partition in zip(e.temperatures, e.partitions):
+
+        def gap(z):
+            log_pr = m.retain.log_density(z)
+            return np.exp(log_pr) - tilted(m.log_density(z, log_pr), clf.predict(z), T, partition)
+
+        def integrand(z):
+            return np.exp(m.forget.log_density(z)) * np.abs(gap(z))
+
+        lo, hi, pts = quadrature_domain(m, [T])
+        pts += kinks
+        pts += sign_change_roots(gap, lo, hi, pts, rtol=FORGET_ROOT_RTOL)
+        values.append(float(quadrature(integrand, lo, hi, breakpoints=pts)))
+    return values
+
+
 class TestExactErrors:
     """exact_retain_error and exact_forget_error at their zero and equality
     cases, against independent closed forms, and row by row."""
@@ -265,10 +289,35 @@ class TestExactErrors:
 
     @pytest.mark.parametrize("metric", [exact_retain_error, exact_forget_error])
     def test_a_temperature_is_the_same_in_any_grid(self, metric):
+        # A and B do not depend on T, so a retain value is the same bits in
+        # any grid; the forget error integrates the whole grid in one
+        # quadrature, so its values move with the grid by rounding only
         m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1e-3))
         clf = QuadClassifier(weights=np.array([2.0, -0.5, 3.0]))
         grid = metric(_grid_estimator(m, clf, (1.0, 1.5, 3.0)))
-        assert grid == [metric(_grid_estimator(m, clf, (T,)))[0] for T in (1.0, 1.5, 3.0)]
+        one_t = [metric(_grid_estimator(m, clf, (T,)))[0] for T in (1.0, 1.5, 3.0)]
+        if metric is exact_retain_error:
+            assert grid == one_t
+        else:
+            np.testing.assert_allclose(grid, one_t, rtol=1e-12, atol=0.0)
+
+    def test_one_temperature_forget_error_is_the_per_t_loop(self):
+        # fixed before the first run: the witness and 10 trained fits on
+        # random Gaussian instances, each at T = 1 and T = 2
+        cases = [(WITNESS_MIX, witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0)))]
+        for i in range(10):
+            rng = np.random.default_rng(5_000 + i)
+            m = Mixture(
+                float(rng.uniform(0.05, 0.5)),
+                GaussianComponent(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 2.0))),
+                GaussianComponent(float(rng.uniform(-0.5, 0.5)), float(10.0 ** rng.uniform(-4, 0))),
+            )
+            n, lam = int(rng.integers(25, 400)), float(10.0 ** rng.uniform(-8, -1))
+            cases.append((m, train(LabeledDataset.from_mixture(m, n, rng), lam)))
+        for m, clf in cases:
+            for T in (1.0, 2.0):
+                est = build(m, clf, [T])
+                assert exact_forget_error(est) == _per_t_forget_error(est)
 
     def test_forget_error_matches_a_kink_free_quadrature(self):
         # the same integral on a window cut at the kinks found by brute force

@@ -1,6 +1,8 @@
-"""The Monte Carlo metric modules reduce with ufuncs only: no matrix product
-and no BLAS-backed call.  On 10^5-point arrays such a call starts OpenBLAS
-threads, and in a 2-worker sweep pool they oversubscribe the cores."""
+"""The modules that touch Monte Carlo samples reduce with ufuncs only: no
+matrix product and no BLAS-backed call.  On 10^5-point arrays such a call
+starts OpenBLAS threads, and in a 2-worker sweep pool they oversubscribe the
+cores.  The estimator is among them: ``tilted`` runs on the forget sample,
+and ``density`` feeds the exact forget error."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "t3"
-UFUNC_ONLY = ("metrics.py", "_kernels.py")
+UFUNC_ONLY = ("metrics.py", "_kernels.py", "estimator.py")
 BLAS_CALLS = {"dot", "cov", "inner", "vdot", "matmul", "tensordot", "einsum"}
 
 
