@@ -87,10 +87,16 @@ def sigmoid(t: np.ndarray, out=None) -> np.ndarray:
     return np.divide(out, e, out=out)
 
 
-def softplus(t: np.ndarray) -> np.ndarray:
+def softplus(t: np.ndarray, out=None) -> np.ndarray:
     """ln(1 + e^t) without overflow, as max(t, 0) + ln(1 + e^-|t|) with
-    e^-|t| floored as in _exp_neg_abs."""
-    return np.maximum(t, 0.0) + np.log1p(_exp_neg_abs(t))
+    e^-|t| floored as in _exp_neg_abs.  The result goes into ``out`` when
+    given, which may be ``t`` itself, and into a fresh array otherwise; the
+    log term takes one array of its own either way."""
+    e = _exp_neg_abs(t)
+    np.log1p(e, out=e)
+    out = np.maximum(t, 0.0, out=out)
+    out += e
+    return out
 
 
 def log_sigmoid(t: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Quadratic-feature logistic regression over the univariate mixture (features
 [1, z, z^2]), the closed-form posteriors of Gaussian and uniform mixtures,
 the risk-saturating piecewise witness for disjoint uniform supports, the
 exact population cross-entropy and L1 distance of quadratic-logit
-classifiers, and Monte Carlo excess-risk estimation.
+classifiers, and Monte Carlo excess-risk estimation.  Both cross-entropy
+forms take -ln f from one clamped formula, _nll, over the classifier's
+logit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
 LOG_CLAMP = math.log(PRED_CLAMP)  # the floor of every log_predict
-LOGIT_CLAMP = math.log((1.0 - PRED_CLAMP) / PRED_CLAMP)  # the logit of 1 - PRED_CLAMP
+LOGIT_CLAMP = math.log1p(-PRED_CLAMP) - LOG_CLAMP  # the logit of 1 - PRED_CLAMP
 
 # damped-Newton settings of train()
 MAX_ITER = 10_000
@@ -94,17 +96,18 @@ class QuadClassifier:
             raise ValueError(f"weights must be finite, got {w}")
         object.__setattr__(self, "weights", w)
 
-    def _logit(self, z) -> np.ndarray:
+    def logit(self, z) -> np.ndarray:
+        """w0 + w1 z + w2 z^2 in one fresh array."""
         return _logits(self.weights[None, :], as_array(z))[0]
 
     def predict(self, z) -> np.ndarray:
         """sigmoid of the logit, written over the logit's own fresh array."""
-        t = self._logit(z)
+        t = self.logit(z)
         return sigmoid(t, out=t)
 
     def log_predict(self, z) -> np.ndarray:
         """ln f floored at LOG_CLAMP, in place."""
-        t = log_sigmoid(self._logit(z))
+        t = log_sigmoid(self.logit(z))
         return np.maximum(t, LOG_CLAMP, out=t)
 
     def kinks(self, level: float) -> tuple[float, ...]:
@@ -146,6 +149,13 @@ class PiecewiseClassifier:
         out[(z >= rlo) & (z <= rhi)] = self.retain_value
         out[(z >= flo) & (z <= fhi)] = self.forget_value
         return out
+
+    def logit(self, z) -> np.ndarray:
+        """ln f - ln(1 - f) of the piecewise values: +inf where f = 1 and
+        -inf where f = 0."""
+        f = self.predict(z)
+        with np.errstate(divide="ignore"):
+            return np.log(f) - np.log1p(-f)
 
     def log_predict(self, z) -> np.ndarray:
         """ln f floored at LOG_CLAMP (ln PRED_CLAMP)."""
@@ -238,19 +248,24 @@ def train(data: LabeledDataset, lam: float) -> QuadClassifier:
     return clf
 
 
+def _nll(t: np.ndarray) -> np.ndarray:
+    """-ln f = softplus(-t) at logits t, with t clipped to
+    [-LOGIT_CLAMP, LOGIT_CLAMP], that is f clamped to
+    [PRED_CLAMP, 1 - PRED_CLAMP]; in place, over t."""
+    np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP, out=t)
+    np.negative(t, out=t)
+    return softplus(t, out=t)
+
+
 def cross_entropy_terms(clf: Classifier, z, s) -> np.ndarray:
     """Per-sample cross-entropy -s ln f(z) - (1 - s) ln(1 - f(z)) for 0/1
-    labels s, with the prediction clamped to [PRED_CLAMP, 1 - PRED_CLAMP].
-    Both logs are taken over the whole array and each sample keeps the one
-    its label selects.  The chain runs in place in two arrays of z's size:
-    the prediction, which ends up holding the terms, and ln(1 - f)."""
-    p = clf.predict(z)
-    np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
-    log_q = np.negative(p)
-    np.log1p(log_q, out=log_q)
-    np.log(p, out=p)
-    np.copyto(log_q, p, where=np.asarray(s, dtype=bool))
-    return np.negative(log_q, out=p)
+    labels s, clamped as in _nll.  -ln(1 - f) at logit t is -ln f at -t, so
+    the logit is negated where s = 0 and _nll runs over it.  The chain runs
+    in two arrays of z's size: the logit, which ends up holding the terms,
+    and softplus's log term."""
+    t = clf.logit(z)
+    np.negative(t, out=t, where=np.logical_not(s))
+    return _nll(t)
 
 
 def bayes_classifier(m: Mixture) -> QuadClassifier:
@@ -352,12 +367,9 @@ def _weights(classifiers) -> np.ndarray:
 
 def population_cross_entropy(m: Mixture, classifiers) -> np.ndarray:
     """The exact population cross-entropy of each quadratic-logit classifier,
-    -int [(1-gamma) p_r ln f + gamma p_f ln(1-f)] with f clamped to
-    [PRED_CLAMP, 1 - PRED_CLAMP] as in cross_entropy_terms, one value per
-    classifier in order.
-
-    The clamp is a clip of the logit t to [-LOGIT_CLAMP, LOGIT_CLAMP], and
-    -ln f = softplus(-t), -ln(1-f) = softplus(t).  All k rows integrate as
+    -int [(1-gamma) p_r ln f + gamma p_f ln(1-f)] with f clamped as in
+    cross_entropy_terms, one value per classifier in order: at logit t the
+    integrand is p_r _nll(t) + p_f _nll(-t).  All k rows integrate as
     one quadrature over quadrature_domain(m), pre-split also at every
     classifier's clamp kinks, the roots of w0 + w1 z + w2 z^2 = +-LOGIT_CLAMP,
     where the integrand bends."""
@@ -368,10 +380,10 @@ def population_cross_entropy(m: Mixture, classifiers) -> np.ndarray:
 
     def integrand(z):
         t = _logits(w, z)
-        np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP, out=t)
+        neg_t = np.negative(t)  # before _nll overwrites t
         p_r = np.exp(m.retain.log_density(z) + log_1mg)
         p_f = np.exp(m.forget.log_density(z) + log_g)
-        return p_r * softplus(-t) + p_f * softplus(t)
+        return p_r * _nll(t) + p_f * _nll(neg_t)
 
     return quadrature(integrand, lo, hi, breakpoints=pts + tuple(kinks))
 

@@ -63,6 +63,9 @@ def svg_line_chart(
     ys += [y - e for s in series for y, e in zip(s["y"], s["se"])]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # one x (a one-temperature grid) or one y value spans no range to scale by
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

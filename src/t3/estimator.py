@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,12 @@ class T3Estimator:
             if not 0.0 < z < math.inf:
                 raise ValueError(f"partitions[{i}] must be finite and > 0, got {z!r}")
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``temperatures`` and ``partitions`` as (k, 1) columns, formed once
+        per estimator; not a field, so equality and hashing ignore it."""
+        return np.array(self.temperatures)[:, None], np.array(self.partitions)[:, None]
+
     def density(self, z, log_p=None) -> np.ndarray:
         """p(z)^(1/T) * f(z) / Z as a (k, n) block, one row per T; no
         clamping.  ``log_p``, when given, is ln p(z), already computed by
@@ -58,8 +65,7 @@ class T3Estimator:
             log_p = self.mixture.log_density(z)
         elif np.shape(log_p) != z.shape:
             raise ValueError(f"log_p has shape {np.shape(log_p)}, z has shape {z.shape}")
-        return tilted(log_p, self.classifier.predict(z), np.array(self.temperatures)[:, None],
-                      np.array(self.partitions)[:, None])
+        return tilted(log_p, self.classifier.predict(z), *self._columns)
 
 
 def tilted(log_p, f, T, partition, out=None) -> np.ndarray:

@@ -107,6 +107,13 @@ class ExperimentConfig:
                 raise ValueError(f"lambda_grid values must be finite and >= 0, got {lam}")
         for v_f in (*self.v_f_grid, self.v_f):
             self.mixture(v_f)  # the component and mixture guards name a bad value
+        # a repeat would merge two groups (or two T cells) into one, whose
+        # trials mean_curve would then count twice
+        for key in ("t_grid", "v_f_grid", "n_grid"):
+            grid = getattr(self, key)
+            for i, value in enumerate(grid):
+                if value in grid[:i]:
+                    raise ValueError(f"{key} repeats the value {value!r}")
 
     def mixture(self, v_f: float) -> Mixture:
         return Mixture(

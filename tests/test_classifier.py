@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t3._kernels import mean_se
+from t3._kernels import mean_se, sigmoid
 from t3.classifier import (
     LOG_CLAMP,
     LOGIT_CLAMP,
@@ -149,20 +149,20 @@ class TestLoss:
 
 
 def _masked_cross_entropy(clf, z, s):
-    # the former formula: the two-division sigmoid of the left-to-right logit
-    # (or the piecewise values), clamped, then each log taken under a mask
+    # softplus of the clipped logit under a mask: -ln f = softplus(-t) where
+    # s = 1 and -ln(1 - f) = softplus(t) where s = 0, with the left-to-right
+    # logit (or ln f - ln(1 - f) of the piecewise values) clipped to
+    # +-LOGIT_CLAMP
     if isinstance(clf, QuadClassifier):
         w0, w1, w2 = clf.weights
         t = w0 + z * (w1 + z * w2)
-        e = np.exp(-np.abs(t))
-        p = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     else:
         p = clf.predict(z)
-    p = np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    retain = np.asarray(s) == 1
-    out = np.log(p, out=np.empty_like(p), where=retain)
-    np.log1p(-p, out=out, where=~retain)
-    return np.negative(out, out=out)
+        with np.errstate(divide="ignore"):
+            t = np.log(p) - np.log1p(-p)
+    t = np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP)
+    u = np.where(np.asarray(s) == 1, -t, t)
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
 class TestCrossEntropyBits:
@@ -185,6 +185,19 @@ class TestCrossEntropyBits:
         z_copy = z.copy()
         np.testing.assert_array_equal(cross_entropy_terms(clf, z, s.astype(bool)), ref)
         np.testing.assert_array_equal(z, z_copy)
+
+    def test_saturated_terms_are_accurate_up_to_the_clamp(self):
+        # -ln(1 - f) at logit t is ln(1 + e^t), for s = 0 at t and for s = 1
+        # at -t; a p-space clamp, log1p(-f), loses digits here (3.9e-6)
+        ts = np.linspace(20.0, LOGIT_CLAMP, 401)[:-1]
+        worst = 0.0
+        for t in ts.tolist():
+            ref = math.log1p(math.exp(t))
+            for w0, s in ((t, 0), (-t, 1)):
+                clf = QuadClassifier(weights=np.array([w0, 0.0, 0.0]))
+                term = float(cross_entropy_terms(clf, np.zeros(1), np.array([s]))[0])
+                worst = max(worst, abs(term - ref) / ref)
+        assert worst <= 1e-15
 
 
 class TestGradient:
@@ -271,6 +284,27 @@ class TestWitness:
         m, wit = witness_instance(0.1, delta)
         d_hat, se = estimate_excess_risk(wit, m, indicator_classifier(m), 10**5, np.random.default_rng(5))
         assert abs(d_hat - delta) <= 3 * se + 1e-3
+
+    @pytest.mark.parametrize(
+        "clf",
+        [
+            witness_classifier(0.01, 0.1, (2.0, 3.0), (0.0, 1.0)),
+            witness_classifier(0.2, 0.5, (2.0, 3.0), (0.0, 1.0)),
+            witness_classifier(1.0, 0.1, (2.0, 3.0), (0.0, 1.0)),
+            PiecewiseClassifier((2.0, 3.0), (0.0, 1.0), retain_value=0.7, forget_value=0.3),
+        ],
+    )
+    def test_logit_inverts_the_piecewise_values(self, clf):
+        # sigmoid of the logit gives back each value to 1 ulp; the logit is
+        # +inf exactly where f = 1 and -inf exactly where f = 0 (sigmoid
+        # floors -inf at e^-700, so those points are checked by the logit)
+        z = np.linspace(-1.0, 4.0, 1_001)
+        f, t = clf.predict(z), clf.logit(z)
+        np.testing.assert_array_equal(np.isposinf(t), f == 1.0)
+        np.testing.assert_array_equal(np.isneginf(t), f == 0.0)
+        inside = np.isfinite(t)
+        assert np.all(np.abs(sigmoid(t[inside]) - f[inside]) <= np.spacing(f[inside]))
+        assert np.all(sigmoid(t[np.isposinf(t)]) == 1.0)
 
     def test_rejects_overlapping_supports(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 tempered oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -281,6 +281,10 @@ class TestTilted:
         former = base * self.CLF.predict(z) / np.array(est.partitions)[:, None]
         assert np.array_equal(est.density(z), former)
         assert np.array_equal(est.density(z, log_p), former)
+        # the (k, 1) columns density forms once are not fields: equality and
+        # the field list are those of a fresh estimator
+        assert [f.name for f in fields(est)] == ["mixture", "classifier", "temperatures", "partitions"]
+        assert replace(est) == est
 
     def test_density_rejects_log_p_of_other_points(self):
         est = build(DEFAULT, self.CLF, self.GRID)

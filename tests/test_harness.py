@@ -225,6 +225,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "key, grid, value",
+        [("t_grid", (1.0, 1.0, 2.0), "1.0"), ("v_f_grid", (1.0, 1e-3, 1.0), "1.0"),
+         ("n_grid", (25, 50, 25), "25")],
+    )
+    def test_rejects_a_repeated_grid_value(self, key, grid, value):
+        # a repeat once merged groups in group_values and counted each trial twice
+        with pytest.raises(ValueError, match=f"^{key} repeats the value {re.escape(value)}$"):
+            ExperimentConfig(**{key: grid})
+
     def test_every_field_parses_back_with_its_annotated_type(self, tmp_path, monkeypatch):
         monkeypatch.delenv("T3_SEED", raising=False)
         lines = []
@@ -430,6 +440,17 @@ class TestEmit:
             assert text.count("<polyline") == 3  # one series per forget variance
             ET.fromstring(text)  # well-formed XML
             assert "temperature T" in text
+
+    def test_a_one_temperature_sweep_writes_both_charts(self, tmp_path):
+        # one x value once divided by a zero x range after the CSV was written
+        cfg = replace(FAST, t_grid=(2.0,), v_f_grid=(1.0,), lambda_grid=(0.01,), trials=2)
+        out = emit(run_experiment1(cfg, workers=1), str(tmp_path), "sweep_vf")
+        names = [Path(chart).name for chart in out["charts"]]
+        assert names == ["sweep_vf_retain.svg", "sweep_vf_forget.svg"]
+        for chart in out["charts"]:
+            text = Path(chart).read_text()
+            ET.fromstring(text)
+            assert text.count("<polyline") == 1 and "nan" not in text
 
 
 class TestSoundnessSweep:

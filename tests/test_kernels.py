@@ -1,6 +1,6 @@
 """Properties of the shared sigmoid, softplus and log-sigmoid formulas, the
-bits of gauss_logpdf, sigmoid and mean_se against the formulas they
-replace, and the memory gauss_logpdf allocates."""
+bits of gauss_logpdf, sigmoid, softplus and mean_se against the formulas
+they replace, and the memory gauss_logpdf allocates."""
 
 import math
 import tracemalloc
@@ -54,6 +54,17 @@ def test_sigmoid_bits_match_the_two_division_form():
     assert K.sigmoid(in_place, out=in_place) is in_place
     np.testing.assert_array_equal(in_place.view(np.uint64), ref)
     assert np.isnan(K.sigmoid(np.array([np.nan]))[0])
+
+
+def test_softplus_bits_match_the_fresh_array_form_and_run_in_place():
+    special = np.array([0.0, 1e-300, 27.6, 745.0, 1e308, np.inf])
+    t = np.concatenate([special, -special, np.random.default_rng(4).normal(scale=20.0, size=500)])
+    # the former formula: max(t, 0) + ln(1 + e^-|t|) in fresh arrays
+    ref = (np.maximum(t, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(t), -700.0)))).view(np.uint64)
+    np.testing.assert_array_equal(K.softplus(t).view(np.uint64), ref)
+    in_place = t.copy()
+    assert K.softplus(in_place, out=in_place) is in_place
+    np.testing.assert_array_equal(in_place.view(np.uint64), ref)
 
 
 def test_exp_floor_sets_the_tail_values_exactly():
