@@ -1,13 +1,13 @@
 """The shared numeric formulas, written once.
 
-Every layer above funnels through these: the Gaussian log-density behind
-each component and mixture, the overflow-safe sigmoid, softplus and log
-sigmoid behind the classifiers and the tinylm head, the logistic loss that
-both trainers minimize, the Monte Carlo (mean, standard error) pair that
-every estimate reports, and the guard on every temperature.  This module
-imports nothing from the package, so any module may use it without a cycle.
-Neither it nor t3.metrics reduces with ``@``, np.dot, np.cov or any BLAS
-call: OpenBLAS threads on Monte Carlo arrays oversubscribe a sweep's pool.
+Every layer above funnels through these: the Gaussian log-density behind each
+component and mixture, the overflow-safe sigmoid, softplus and log sigmoid
+behind the classifiers and the tinylm head, the logistic loss both trainers
+minimize and the Armijo step they take, the Monte Carlo (mean, standard error)
+pair that every estimate reports, and the guard on every temperature.  This
+module imports nothing from the package, so any module may use it without a
+cycle.  Neither it nor t3.metrics reduces with ``@``, np.dot, np.cov or any
+BLAS call: OpenBLAS threads on Monte Carlo arrays oversubscribe a sweep's pool.
 
 Importing it also sets the C heap to keep freed Monte Carlo arrays (see
 _keep_freed_arrays_in_heap).
@@ -22,6 +22,9 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 EXP_FLOOR = -700.0  # see _exp_neg_abs
+ARMIJO_C = 1e-4  # armijo's sufficient-decrease constant,
+BACKTRACK = 0.5  # its step shrink factor per failed try
+MAX_BACKTRACKS = 80  # and its budget of tries
 
 # glibc's mallopt parameters (malloc.h) and the values set at import
 _M_TRIM_THRESHOLD = -1
@@ -108,6 +111,18 @@ def logistic_loss(t: np.ndarray, s: np.ndarray) -> float:
     """Mean logistic loss of logits t against 0/1 labels s,
     mean(softplus(t) - s*t); its gradient in t is (sigmoid(t) - s) / n."""
     return float(np.mean(softplus(t) - s * t))
+
+
+def armijo(trial, value: float, slope: float, step: float):
+    """Armijo backtracking (Nocedal & Wright, Alg. 3.1): (s, trial(s)) for
+    the first s of step, step*BACKTRACK, ... (MAX_BACKTRACKS tries) with
+    trial(s)[0] <= value + ARMIJO_C*s*slope (a NaN never does), else None."""
+    for _ in range(MAX_BACKTRACKS):
+        result = trial(step)
+        if result[0] <= value + ARMIJO_C * step * slope:
+            return step, result
+        step *= BACKTRACK
+    return None
 
 
 def mean_se(terms: np.ndarray) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from ._kernels import as_array, log_sigmoid, logistic_loss, mean_se, sigmoid, softplus
+from ._kernels import armijo, as_array, log_sigmoid, logistic_loss, mean_se, sigmoid, softplus
 from .dist import Mixture, UniformComponent, quadrature, quadrature_domain
 
 PRED_CLAMP = 1e-12  # keeps cross-entropy finite for saturated classifiers
@@ -28,9 +28,6 @@ LOGIT_CLAMP = math.log1p(-PRED_CLAMP) - LOG_CLAMP  # the logit of 1 - PRED_CLAMP
 MAX_ITER = 10_000
 GRAD_TOL = 1e-8
 FAIL_GRAD = 1e-4  # gradient norm above this at the optimizer stop is an error
-ARMIJO_C = 1e-4
-BACKTRACK = 0.5
-MAX_BACKTRACKS = 80
 
 
 class TrainingError(RuntimeError):
@@ -210,19 +207,13 @@ def _train(data: LabeledDataset, lam: float):
         if direction is None:
             direction = -grad
 
-        slope = float(grad @ direction)
-        t = 1.0
-        accepted = False
-        for _bt in range(MAX_BACKTRACKS):
+        def trial(t):
             w_new = w + t * direction
-            v_new, g_new, sig_new = _objective(w_new, X, s, lam)
-            if v_new <= value + ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
+            return (*_objective(w_new, X, s, lam), w_new)
+        found = armijo(trial, value, float(grad @ direction), 1.0)
+        if found is None:
             break  # no descent at the smallest step: numerically stationary
-        w, value, grad, sig = w_new, v_new, g_new, sig_new
+        value, grad, sig, w = found[1]
         history.append(value)
 
     gnorm = float(np.linalg.norm(grad))

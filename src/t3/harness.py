@@ -107,9 +107,9 @@ class ExperimentConfig:
                 raise ValueError(f"lambda_grid values must be finite and >= 0, got {lam}")
         for v_f in (*self.v_f_grid, self.v_f):
             self.mixture(v_f)  # the component and mixture guards name a bad value
-        # a repeat would merge two groups (or two T cells) into one, whose
-        # trials mean_curve would then count twice
-        for key in ("t_grid", "v_f_grid", "n_grid"):
+        # a repeat would merge two groups or T cells, whose trials mean_curve
+        # would count twice, or give one lambda two seeded chances to win
+        for key in ("t_grid", "v_f_grid", "n_grid", "lambda_grid"):
             grid = getattr(self, key)
             for i, value in enumerate(grid):
                 if value in grid[:i]:
@@ -270,11 +270,11 @@ def _lambda_cells(config: ExperimentConfig, v_f: float, n: int, stream_tag: int)
 def _pick_lambda(config: ExperimentConfig, cell_risks) -> float:
     """Grid value with the smallest mean risk; ties break toward the larger
     coefficient."""
-    best_lam, best_risk = None, math.inf
+    best_lam, best_key = None, (math.inf, math.inf)
     for lam, risks in zip(config.lambda_grid, cell_risks):
-        mean_risk = float(np.mean(risks))
-        if mean_risk <= best_risk:  # <= so later (larger) lambdas win ties
-            best_risk, best_lam = mean_risk, lam
+        key = (float(np.mean(risks)), -lam)  # a NaN risk never wins
+        if key < best_key:
+            best_lam, best_key = lam, key
     return float(best_lam)
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequen
 
 import numpy as np
 
-from ._kernels import check_temperature, logistic_loss, sigmoid
+from ._kernels import armijo, check_temperature, logistic_loss, sigmoid
 
 BOS = -1  # context padding sentinel, never a real token id
 SPLITS = ("retain", "forget", "ra", "wf")
@@ -290,12 +290,12 @@ def train_head(
     rows = np.arange(n)
 
     def loss(a_m, b_m):
-        """The objective at (a_m, b_m), with the per-context hidden
-        activations p_u and the row logits t that its gradient reuses."""
+        """The objective at (a_m, b_m), the per-context hidden activations
+        p_u and row logits t that its gradient reuses, and (a_m, b_m)."""
         p_u = feats_u @ a_m.T  # (contexts, h)
         t = (p_u @ b_m.T)[ci, y_idx]
         value = logistic_loss(t, s) + lam * (float(np.sum(a_m * a_m)) + float(np.sum(b_m * b_m)))
-        return value, p_u, t
+        return value, p_u, t, a_m, b_m
 
     def gradient(a_m, b_m, p_u, t):
         g = (sigmoid(t) - s) / n
@@ -308,24 +308,18 @@ def train_head(
 
     # trial steps only need the loss; the gradient is taken once per epoch,
     # at the point the previous epoch accepted
-    value, p_u, t = loss(a, b)
+    value, p_u, t, a, b = loss(a, b)
     step = 1.0
     for _ in range(epochs):
         grad_a, grad_b = gradient(a, b, p_u, t)
         slope = -(float(np.sum(grad_a * grad_a)) + float(np.sum(grad_b * grad_b)))
         if slope > -1e-18:
             break
-        step *= 4.0  # let the accepted step grow; backtracking reins it in
-        for _bt in range(80):
-            a_new = a - step * grad_a
-            b_new = b - step * grad_b
-            v_new, p_new, t_new = loss(a_new, b_new)
-            if v_new <= value + 1e-4 * step * slope:
-                a, b, value, p_u, t = a_new, b_new, v_new, p_new, t_new
-                break
-            step *= 0.5
-        else:
+        # let the accepted step grow; backtracking reins it in
+        found = armijo(lambda st: loss(a - st * grad_a, b - st * grad_b), value, slope, 4.0 * step)
+        if found is None:
             break
+        step, (value, p_u, t, a, b) = found
     return HeadClassifier(a, b)
 
 

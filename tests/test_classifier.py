@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from t3._kernels import mean_se, sigmoid
 from t3.classifier import (
+    GRAD_TOL,
     LOG_CLAMP,
     LOGIT_CLAMP,
+    MAX_ITER,
     PRED_CLAMP,
     LabeledDataset,
     PiecewiseClassifier,
@@ -40,6 +42,47 @@ DEFAULT = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, 1.0))
 
 def _dataset(m, n, seed):
     return LabeledDataset.from_mixture(m, n, np.random.default_rng(seed))
+
+
+def _inline_search_train(data, lam):
+    """train's damped Newton loop with its former inline Armijo backtracking
+    (constant 1e-4, factor 0.5, 80 tries from the full step).  Returns the
+    weights and the number of rejected trial steps."""
+    X = quadratic_features(data.z)
+    s = data.s.astype(np.float64)
+    w = np.zeros(3)
+    value, grad, sig = _objective(w, X, s, lam)
+    backtracks = 0
+    for _ in range(MAX_ITER):
+        if float(np.linalg.norm(grad)) <= GRAD_TOL:
+            break
+        H = (X.T * (sig * (1.0 - sig))) @ X / data.n + 2.0 * lam * np.eye(3)
+        direction = None
+        ridge = 0.0
+        for _attempt in range(8):
+            try:
+                step = np.linalg.solve(H + ridge * np.eye(3), grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)) and grad @ step > 0.0:
+                direction = -step
+                break
+            ridge = max(ridge * 10.0, 1e-10 * max(1.0, float(np.trace(H))))
+        if direction is None:
+            direction = -grad
+        slope = float(grad @ direction)
+        t = 1.0
+        for _bt in range(80):
+            w_new = w + t * direction
+            v_new, g_new, sig_new = _objective(w_new, X, s, lam)
+            if v_new <= value + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            backtracks += 1
+        else:
+            break
+        w, value, grad, sig = w_new, v_new, g_new, sig_new
+    return w, backtracks
 
 
 class TestLabeledDataset:
@@ -75,6 +118,22 @@ class TestTrain:
         a = train(d, 1e-3)
         b = train(d, 1e-3)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-3])
+    def test_matches_the_former_inline_line_search_bitwise(self, lam):
+        # small off-origin sets, where the full Newton step from the zero
+        # start overshoots, and one separable set; the benchmark sweeps' fits
+        # all take the full Newton step
+        sets = [([15.1, 11.2, 9.9, 9.8], [0, 1, 0, 1]), ([19.2, 10.4, 4.8, 16.3], [1, 1, 0, 0]),
+                ([-6.0, -6.2, -3.4, -5.3], [0, 1, 1, 1]), ([-0.7, -1.5, -0.9, -2.5], [1, 0, 1, 1]),
+                ([-2.0, -1.0, 1.0, 2.0], [0, 0, 1, 1])]
+        backtracks = 0
+        for z, s in sets:
+            d = LabeledDataset(z=np.array(z), s=np.array(s))
+            w, bt = _inline_search_train(d, lam)
+            assert train(d, lam).weights.tobytes() == w.tobytes()
+            backtracks += bt
+        assert backtracks > 0
 
     def test_monotone_objective(self):
         d = _dataset(DEFAULT, 500, 13)

@@ -228,10 +228,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, grid, value",
         [("t_grid", (1.0, 1.0, 2.0), "1.0"), ("v_f_grid", (1.0, 1e-3, 1.0), "1.0"),
-         ("n_grid", (25, 50, 25), "25")],
+         ("n_grid", (25, 50, 25), "25"), ("lambda_grid", (0.01, 0.01), "0.01")],
     )
     def test_rejects_a_repeated_grid_value(self, key, grid, value):
-        # a repeat once merged groups in group_values and counted each trial twice
+        # a repeat once merged groups in group_values and counted each trial
+        # twice, or gave one lambda a second, differently seeded search entry
         with pytest.raises(ValueError, match=f"^{key} repeats the value {re.escape(value)}$"):
             ExperimentConfig(**{key: grid})
 
@@ -287,6 +288,14 @@ class TestLambdaSearch:
         # is many standard errors, so the search must pick the smaller one
         cfg = replace(FAST, lambda_grid=(1e-3, 1e6), lambda_search_trials=3)
         assert lambda_search(cfg, 1.0, 200, stream_tag=2) == 1e-3
+
+    def test_tied_risks_pick_the_larger_lambda_in_either_grid_order(self, monkeypatch):
+        # the tie once went to the later grid entry, whatever its value
+        from t3 import harness
+
+        monkeypatch.setattr(harness, "population_risk", lambda clf, m, n_mc, rng: 0.5)
+        for grid in ((1e-2, 1e-4), (1e-4, 1e-2)):
+            assert lambda_search(replace(FAST, lambda_grid=grid), 1e-3, 40, stream_tag=1) == 1e-2
 
     def test_deterministic(self):
         a = lambda_search(FAST, 1e-3, 40, stream_tag=3)

@@ -1,6 +1,7 @@
 """Properties of the shared sigmoid, softplus and log-sigmoid formulas, the
 bits of gauss_logpdf, sigmoid, softplus and mean_se against the formulas
-they replace, and the memory gauss_logpdf allocates."""
+they replace, the memory gauss_logpdf allocates, and the steps the shared
+Armijo line search tries and accepts."""
 
 import math
 import tracemalloc
@@ -130,3 +131,45 @@ def test_gauss_logpdf_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * 8 * n
+
+
+class TestArmijo:
+    def test_keeps_the_values_both_inline_searches_had(self):
+        # pinned here because no workload and no bits test reaches the 80-try cap
+        assert (K.ARMIJO_C, K.BACKTRACK, K.MAX_BACKTRACKS) == (1e-4, 0.5, 80)
+
+    def test_returns_the_first_sufficiently_decreasing_step_of_exact_backtracks(self):
+        tried = []
+
+        def trial(step):
+            tried.append(step)
+            return (2.0 if step > 0.2 else 0.0,)
+
+        step, _ = K.armijo(trial, 1.0, -1.0, 3.0)
+        assert tried == [3.0 * K.BACKTRACK**j for j in range(5)] and step == tried[-1]
+
+    def test_plain_decrease_is_not_enough(self):
+        # 1 - 1e-5 lies below value = 1, but meets 1 + ARMIJO_C*step*slope
+        # only from step 1/16 down; the bound itself passes
+        assert K.armijo(lambda st: (1.0 - 1e-5,), 1.0, -1.0, 1.0)[0] == 0.0625
+        assert K.armijo(lambda st: (1.0 - K.ARMIJO_C * st,), 1.0, -1.0, 1.0)[0] == 1.0
+
+    @pytest.mark.parametrize("objective", [math.inf, math.nan])
+    def test_gives_up_after_exactly_max_backtracks_tries(self, objective):
+        tried = []
+
+        def trial(step):
+            tried.append(step)
+            return (objective,)
+
+        assert K.armijo(trial, 1.0, -1.0, 1.0) is None
+        assert len(tried) == K.MAX_BACKTRACKS
+
+    def test_a_nan_objective_is_never_accepted(self):
+        step, _ = K.armijo(lambda st: (math.nan if st > 0.3 else -math.inf,), 0.0, -1.0, 1.0)
+        assert step == 0.25
+
+    def test_the_accepted_trial_result_comes_back_unchanged(self):
+        result = (0.0, np.arange(3.0), "point")
+        step, got = K.armijo(lambda st: result, 1.0, -1.0, 1.0)
+        assert step == 1.0 and got is result
