@@ -16,10 +16,10 @@ temperatures each integral passes:
 
 - thm4's tau-tempered oracle partitions and three tau-moments: [T], whose
   window and breakpoints every tau in [1, T] shares, in one quadrature;
-- thm4's auxiliary integral of p^c: [max(1/c, 1)], the temperature at
-  which p^c is a tempered density.  For T >= 2, k = T drives c to zero and
-  the true integral over the real line diverges; the evaluator then returns
-  the (finite) length of the [T] window;
+- thm4's auxiliary integrals of p^c, one row per k of its k grid (every
+  k > T and k >= 2, so c = (k-T)/(T(k-1)) > 0): [max(1/c, 1) for each c],
+  the temperatures at which each p^c is a tempered density, in one
+  quadrature; the bound takes the minimum of its third term over the grid;
 - thm5's two numerators: (1, T), pre-split also at the |ln p| kinks, the
   roots of ln p from ``dist.sign_change_roots``: sign brackets of ln p,
   each refined by interpolation to relative width 1e-14 in about 5 steps
@@ -42,6 +42,7 @@ from .classifier import oracle_classifier
 from .dist import Mixture, quadrature, quadrature_domain, sign_change_roots
 
 DEFAULT_TAU_POINTS = 25
+K_OVER_T = (1.02, 1.05, 1.1, 1.2, 1.35, 1.5, 2.0, 3.0, 5.0, 10.0)  # thm4's k grid, over T
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,11 @@ def _check_delta(delta: float, zero_ok: bool = True) -> None:
         raise ValueError(f"delta must be finite and {'>=' if zero_ok else '>'} 0, got {delta}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def thm1_retain_bound(delta: float, gamma: float) -> float:
     """Retain Error of the untempered estimator: delta / (1 - gamma)."""
     _check_gamma(gamma)
@@ -93,6 +99,7 @@ def thm2_forget_bound(delta: float, gamma: float, pf_inf: float) -> float:
     ||p_f||_inf * sqrt(2 delta / (1 - gamma))."""
     _check_gamma(gamma)
     _check_delta(delta)
+    _check_positive("pf_inf", pf_inf)
     return pf_inf * math.sqrt(2.0 * delta / (1.0 - gamma))
 
 
@@ -105,6 +112,7 @@ def thm3_forget_lower_bound(delta: float, gamma: float, pf_inf: float) -> float:
     """
     _check_gamma(gamma)
     _check_delta(delta, zero_ok=False)
+    _check_positive("pf_inf", pf_inf)
     edg = math.exp(-delta / gamma)
     return pf_inf * gamma * (1.0 - edg) / (1.0 - gamma * edg)
 
@@ -162,15 +170,11 @@ def _tempering_bias(m: Mixture, T: float, taus) -> np.ndarray:
     return (1.0 - 1.0 / T) * np.sqrt(np.maximum(pf2, 0.0)) * np.sqrt(var)
 
 
-def _power_integral(m: Mixture, c: float, T_window: float) -> float:
-    """integral of p^c over the domain of [max(1/c, 1)].  c = 0 (the k = T
-    edge) integrates the constant 1, i.e. returns the length of the
-    [T_window] window."""
-    if c <= 1e-12:
-        lo, hi, _ = quadrature_domain(m, [T_window])
-        return hi - lo
-    lo, hi, seeds = quadrature_domain(m, [max(1.0 / c, 1.0)])
-    return quadrature(lambda z: np.exp(c * m.log_density(z)), lo, hi, breakpoints=seeds)
+def _power_integrals(m: Mixture, cs) -> np.ndarray:
+    """integral of p^c for every c > 0 of the array ``cs``, one row per c,
+    over the domain of [max(1/c, 1) for c in cs]: the smallest c's window."""
+    lo, hi, seeds = quadrature_domain(m, [max(1.0 / c, 1.0) for c in cs])
+    return quadrature(lambda z: np.exp(cs[:, None] * m.log_density(z)), lo, hi, breakpoints=seeds)
 
 
 def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
@@ -178,15 +182,19 @@ def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
 
         max_tau (1 - 1/T) ||p_f||_{2,p_r^(tau)} Std_{p_r^(tau)}[ln p]
         + ||p_f||_inf^(1/T) (delta/2)^(1/(2T)) / A(T, gamma)
-        + ||p_f||_inf^(1/T) (int p^((k-T)/(T(k-1))))^((k-1)/k)
+        + min_k ||p_f||_inf^(1/T) (int p^((k-T)/(T(k-1))))^((k-1)/k)
               * (delta/2)^(1/(2k)) / (A(T, gamma)^2 exp(-delta/(1-gamma)))
 
-    with k = max(T, 2) >= T fixing the integrability tradeoff and A(T, gamma)
-    the lemma 2 partition lower bound at delta = 0.
+    with A(T, gamma) the lemma 2 partition lower bound at delta = 0.  The
+    third term is a bound at every k > T with k >= 2, so its minimum over
+    k = max(T * K_OVER_T, 2) is one too.  Each such k has exponent
+    c = (k-T)/(T(k-1)) > 0, so its integral of p^c is finite, whatever the
+    window.  k in (T, 2) for T < 2 is left out: that needs the paper's
+    exact condition on k, which its abstract does not state.
     """
     check_temperature(T)
     _check_delta(delta)
-    k = max(T, 2.0)
+    ks = np.maximum(T * np.asarray(K_OVER_T), 2.0)
 
     bias = float(np.max(_tempering_bias(m, T, default_tau_grid(T))))
 
@@ -196,14 +204,13 @@ def thm4_forget_bound(m: Mixture, delta: float, T: float) -> float:
     half_delta = delta / 2.0
     term2 = pf_inf ** (1.0 / T) * half_delta ** (1.0 / (2.0 * T)) / a_coef
 
-    power_int = _power_integral(m, (k - T) / (T * (k - 1.0)), T)
+    power_ints = _power_integrals(m, (ks - T) / (T * (ks - 1.0)))
     term3 = (
         pf_inf ** (1.0 / T)
-        * power_int ** ((k - 1.0) / k)
-        * half_delta ** (1.0 / (2.0 * k))
+        * np.min(power_ints ** ((ks - 1.0) / ks) * half_delta ** (1.0 / (2.0 * ks)))
         / (a_coef ** 2 * math.exp(-delta / (1.0 - g)))
     )
-    return bias + term2 + term3
+    return bias + term2 + float(term3)
 
 
 def thm5_retain_bound(m: Mixture, delta: float, T: float) -> float:
@@ -255,8 +262,10 @@ def prop1_risk_bound(
         lambda_star = (1/|phi*|) sqrt(2 E|phi(z)|^2 / n)
         bound       = 2 |phi*| sqrt(2 E|phi(z)|^2 / n)
     """
-    if n <= 0 or phi_star_norm <= 0.0 or expected_feature_sq_norm <= 0.0:
-        raise ValueError("all inputs must be positive")
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    _check_positive("phi_star_norm", phi_star_norm)
+    _check_positive("expected_feature_sq_norm", expected_feature_sq_norm)
     root = math.sqrt(2.0 * expected_feature_sq_norm / n)
     return root / phi_star_norm, 2.0 * phi_star_norm * root
 
@@ -271,8 +280,10 @@ def tempered_gaussian_log_integral(v: float, tau: float) -> float:
     normalizer (N^(1/tau) = (2 pi v)^((tau-1)/(2 tau)) sqrt(tau) N(0, tau v));
     quadrature confirms it across the whole (v, tau) grid.
     """
-    if v < 1.0 / (2.0 * math.pi):
-        raise ValueError("identity needs v >= 1/(2 pi) so the log-density is nonpositive")
+    if not 1.0 / (2.0 * math.pi) <= v < math.inf:
+        raise ValueError(
+            f"v must be finite and >= 1/(2 pi) so the log-density is nonpositive, got {v}"
+        )
     check_temperature(tau)
     tp = 2.0 * math.pi * v
     return tp ** ((tau - 1.0) / (2.0 * tau)) * math.sqrt(tau) * (tau / 2.0 + 0.5 * math.log(tp))

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from t3 import bounds as B
+from t3 import dist
 from t3.classifier import oracle_classifier, witness_classifier
 from t3.dist import (
     ROOT_SCAN_POINTS,
@@ -114,6 +115,14 @@ class TestLemma2:
         np.testing.assert_allclose(val, expected, rtol=1e-12)
         assert abs(val - 0.6272) < 2e-4
 
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_delta_enters_as_exp_minus_delta_over_one_minus_gamma(self, T):
+        # the only delta-dependence; equal values at every delta passed the
+        # monotonicity test below
+        val = B.lemma2_partition_lower_bound(FLAT, 0.05, T)
+        at_zero = B.lemma2_partition_lower_bound(FLAT, 0.0, T)
+        np.testing.assert_allclose(val, at_zero * math.exp(-0.05 / 0.9), rtol=1e-14)
+
     def test_bayes_partition_dominates(self):
         # the exact-posterior partition at T = 1 is 1 - gamma
         assert 0.9 >= B.lemma2_partition_lower_bound(FLAT, 0.0, 1.0)
@@ -135,6 +144,55 @@ class TestTemperedForgetBound:
     def test_disjoint_supports_zero_bias(self):
         for bias in B._tempering_bias(WITNESS, 2.0, [1.0, 1.5, 2.0]):
             assert bias == 0.0
+
+
+CONFIG_FAMILY = [
+    Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+    for v_f in (1e-6, 1e-4, 1e-2, 1.0)
+]
+
+
+def _thm4_at_k2(m, delta, T):
+    """thm4 with its third term at k = 2 alone, assembled as before the k
+    grid: the bias, the second term and a one-row integral of p^c."""
+    bias = float(np.max(B._tempering_bias(m, T, B.default_tau_grid(T))))
+    pf_inf = m.forget.peak_density()
+    a_coef = B.lemma2_partition_lower_bound(m, 0.0, T)
+    half_delta = delta / 2.0
+    term2 = pf_inf ** (1.0 / T) * half_delta ** (1.0 / (2.0 * T)) / a_coef
+    c = (2.0 - T) / T  # (k - T) / (T (k - 1)) at k = 2
+    lo, hi, seeds = quadrature_domain(m, [max(1.0 / c, 1.0)])
+    power_int = quadrature(lambda z: np.exp(c * m.log_density(z)), lo, hi, breakpoints=seeds)
+    term3 = (
+        pf_inf ** (1.0 / T)
+        * power_int ** 0.5
+        * half_delta ** 0.25
+        / (a_coef ** 2 * math.exp(-delta / (1.0 - m.gamma)))
+    )
+    return bias + term2 + term3
+
+
+class TestThm4KGrid:
+    @pytest.mark.parametrize("T", [1.0, 1.1, 1.5])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-2])
+    @pytest.mark.parametrize("m", CONFIG_FAMILY + [WITNESS])
+    def test_k2_row_is_the_minimum_up_to_t_1_5(self, m, delta, T):
+        # the grid clamps every k at or below 2 to 2, and at T <= 1.5 that
+        # row is the smallest, so the bound is the former k = 2 assembly
+        np.testing.assert_allclose(B.thm4_forget_bound(m, delta, T), _thm4_at_k2(m, delta, T),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("v_f", [1e-6, 1e-3, 1.0])
+    def test_does_not_depend_on_the_quadrature_window(self, monkeypatch, v_f, T):
+        # k = T made the integral of p^0 diverge, and the window's length
+        # stood in for it: 12 -> 24 stddevs raised the bound by up to 29% at
+        # T = 2 and 42% at T = 3
+        m = Mixture(0.1, GaussianComponent(1.0, 1.0), GaussianComponent(0.0, v_f))
+        monkeypatch.setattr(dist, "WINDOW_STDDEVS", 12.0)
+        narrow = B.thm4_forget_bound(m, 0.01, T)
+        monkeypatch.setattr(dist, "WINDOW_STDDEVS", 24.0)
+        np.testing.assert_allclose(B.thm4_forget_bound(m, 0.01, T), narrow, rtol=1e-9)
 
 
 class TestOnePassTemperingBias:
@@ -400,6 +458,27 @@ class TestSupOverTau:
         assert max(len(c) for c in chunks) <= B.DEFAULT_TAU_POINTS
         fine = max(float(np.max(B._tempering_bias(m, T, c))) for c in chunks)
         assert fine <= grid * (1.0 + 1e-9)
+
+
+POSITIVE_INPUTS = {
+    "thm2 pf_inf": ("pf_inf", lambda x: B.thm2_forget_bound(0.01, 0.1, x)),
+    "thm3 pf_inf": ("pf_inf", lambda x: B.thm3_forget_lower_bound(0.01, 0.1, x)),
+    "prop1 phi_star_norm": ("phi_star_norm", lambda x: B.prop1_risk_bound(100, x, 1.0)),
+    "prop1 expected_feature_sq_norm": (
+        "expected_feature_sq_norm", lambda x: B.prop1_risk_bound(100, 1.0, x)
+    ),
+    "log integral v": ("v", lambda x: B.tempered_gaussian_log_integral(x, 2.0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("case", sorted(POSITIVE_INPUTS))
+def test_rejects_a_nonpositive_or_nonfinite_input(case, value):
+    # NaN and inf passed every one of these checks, and -1 both pf_inf ones,
+    # giving a NaN, infinite or negative bound; prop1's error named no input
+    name, evaluate = POSITIVE_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evaluate(value)
 
 
 class TestProposition1:
